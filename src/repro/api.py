@@ -29,13 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import obs
-from ._compat import warn_once
 from .bytecode import decode_function, encode_function
 from .frontend import compile_source
 from .ir import Function, Module
 from .jit import CompiledKernel, MonoJIT, NativeBackend, OptimizingJIT
 from .machine import ArrayBuffer
-from .machine.registry import DEFAULT_ENGINE, engine_names, get_engine
+from .machine.registry import DEFAULT_ENGINE, get_engine
 from .machine.vm import RunResult, VMError
 from .targets import get_target
 from .targets.base import Target
@@ -54,7 +53,6 @@ __all__ = [
     "resolve_engine",
     "resolve_compiler",
     "COMPILERS",
-    "ENGINES",
     "frontend_phase",
     "vectorize_phase",
     "encode_phase",
@@ -69,19 +67,6 @@ COMPILERS = {
     "gcc4cli": OptimizingJIT,
     "native": NativeBackend,
 }
-
-
-def __getattr__(name: str):
-    # Engines live in repro.machine.registry now; the old frozen tuple
-    # keeps working (reflecting whatever is currently registered) behind
-    # a one-time deprecation warning.
-    if name == "ENGINES":
-        warn_once(
-            "repro.api.ENGINES",
-            "repro.machine.registry.engine_names()",
-        )
-        return engine_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def resolve_target(target) -> Target:

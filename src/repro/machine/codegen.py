@@ -1623,7 +1623,9 @@ class CodegenCode:
     cross-process determinism test hashes it); :meth:`run` mirrors
     :meth:`ThreadedCode.run <repro.machine.threaded.ThreadedCode.run>`
     argument-for-argument.  Like the threaded engine, an instance is
-    stateful (array cells) and not safe for concurrent ``run`` calls.
+    stateful (array cells), so concurrent ``run`` calls on one instance
+    must be serialized; the registry's ``codegen`` engine does that with
+    the per-translation ``run_lock`` (see :mod:`repro.machine.registry`).
     """
 
     def __init__(self, mfunc: MFunction, target: Target,

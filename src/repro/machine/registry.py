@@ -30,7 +30,11 @@ The engine contract
     interpreter on values, cycles, instruction counts, op counts, and
     traps — the differential parity suite (``tests/test_threaded_vm.py``)
     is parametrized over every registered engine and enforces exactly
-    that.
+    that.  ``run`` must be safe to call from several threads at once on
+    the *same* ``ck``: the service shares one ``CompiledKernel`` between
+    single-flight followers and across warm hits (the cache's decode
+    memo), so concurrent runs with distinct ``arrays`` must each behave
+    exactly like a serial run.
 
 ``translate(mfunc, target, count_ops=False)``
     Optional one-time translation (pre-decoding, source generation).
@@ -39,6 +43,11 @@ The engine contract
     per ``(engine, count_ops)`` and times it into the
     ``vm.translate_seconds`` metric.  The returned object must expose
     ``run(scalar_args, arrays, max_instructions=...) -> RunResult``.
+    A translation may keep per-run state on itself, as the built-in
+    ``threaded`` and ``codegen`` translations do; their ``run`` callables
+    then hold the translation's ``run_lock`` for the whole
+    ``code.run``, which serializes runs of one translated kernel and
+    nothing else.
 
 Names are looked up at call time, so registration order never matters;
 the built-in engines below register lazily (importing this module does
@@ -47,6 +56,8 @@ not import numpy-heavy engine modules until an engine is actually used).
 
 from __future__ import annotations
 
+import importlib
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -135,32 +146,44 @@ def engine_names() -> tuple[str, ...]:
 # light; the first *use* of an engine pays its module import.
 
 
-def _run_threaded(ck, scalar_args, arrays, *, count_ops=False,
-                  max_instructions=None):
-    code = ck.translated("threaded", count_ops=count_ops)
-    if max_instructions is None:
-        return code.run(scalar_args, arrays)
-    return code.run(scalar_args, arrays, max_instructions)
+def _run_translated(engine: str):
+    """The ``run`` callable of a built-in translating engine.
+
+    Translations keep per-run state on themselves (bound array cells,
+    spill slots, the return box), and one translation is shared by every
+    request that holds its ``CompiledKernel`` — single-flight followers
+    and the cache's decode memo hand the same kernel to many threads.  A
+    lock per translation therefore covers the whole ``code.run``: runs
+    of *one* translated kernel serialize, runs of distinct kernels do
+    not, and under the GIL the serialized runs cost no throughput.
+    """
+
+    def run(ck, scalar_args, arrays, *, count_ops=False,
+            max_instructions=None):
+        code = ck.translated(engine, count_ops=count_ops)
+        with code.run_lock:
+            if max_instructions is None:
+                return code.run(scalar_args, arrays)
+            return code.run(scalar_args, arrays, max_instructions)
+
+    return run
 
 
-def _translate_threaded(mfunc, target, count_ops=False):
-    from .threaded import translate
+def _translator(module: str):
+    """The ``translate`` callable of a built-in engine in ``module``.
 
-    return translate(mfunc, target, count_ops)
+    The run lock is attached here, once, before the translation is
+    published on its ``CompiledKernel`` — so no thread ever sees a
+    translation without its lock.
+    """
 
+    def translate(mfunc, target, count_ops=False):
+        mod = importlib.import_module(f".{module}", __package__)
+        code = mod.translate(mfunc, target, count_ops)
+        code.run_lock = threading.Lock()
+        return code
 
-def _run_codegen(ck, scalar_args, arrays, *, count_ops=False,
-                 max_instructions=None):
-    code = ck.translated("codegen", count_ops=count_ops)
-    if max_instructions is None:
-        return code.run(scalar_args, arrays)
-    return code.run(scalar_args, arrays, max_instructions)
-
-
-def _translate_codegen(mfunc, target, count_ops=False):
-    from .codegen import translate
-
-    return translate(mfunc, target, count_ops)
+    return translate
 
 
 def _run_reference(ck, scalar_args, arrays, *, count_ops=False,
@@ -176,14 +199,14 @@ def _run_reference(ck, scalar_args, arrays, *, count_ops=False,
 
 register_engine(
     "threaded",
-    translate=_translate_threaded,
-    run=_run_threaded,
+    translate=_translator("threaded"),
+    run=_run_translated("threaded"),
     description="pre-decoded closure dispatch, block-level accounting",
 )
 register_engine(
     "codegen",
-    translate=_translate_codegen,
-    run=_run_codegen,
+    translate=_translator("codegen"),
+    run=_run_translated("codegen"),
     description="MIR->Python superinstruction blocks + batched idioms",
 )
 register_engine(

@@ -109,7 +109,13 @@ class _Block:
 
 
 class ThreadedCode:
-    """An :class:`MFunction` translated to threaded code for one target."""
+    """An :class:`MFunction` translated to threaded code for one target.
+
+    An instance is stateful (array cells, spill slots, the return box),
+    so concurrent ``run`` calls on one instance must be serialized; the
+    registry's ``threaded`` engine does that with the per-translation
+    ``run_lock`` (see :mod:`repro.machine.registry`).
+    """
 
     def __init__(self, mfunc: MFunction, target: Target,
                  count_ops: bool = False) -> None:

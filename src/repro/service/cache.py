@@ -302,6 +302,18 @@ class KernelCache:
     The byte budget is enforced against a **running total**
     (``_bytes``), updated on every insert/evict/quarantine — eviction is
     O(evicted), not the old O(n²) recompute-the-sum-per-eviction.
+
+    **Decode memo (hot tier).**  ``get`` remembers, per entry name, the
+    VBK1 bytes it last verified and the kernel it decoded from them.  A
+    later hit still reads the file, but when the bytes it reads are
+    equal to the verified bytes it returns the memoized kernel — along
+    with the engine translations cached on it — instead of unpickling
+    and re-translating.  Any other bytes are verified and decoded
+    afresh, so an entry rewritten or corrupted on disk (even in place,
+    on the same inode) is caught on the very next read.  Memo entries
+    exist only for names in the index and are dropped whenever the
+    entry leaves it (quarantine, ``evict``, LRU eviction), so the byte
+    budget bounds the memo too.
     """
 
     def __init__(self, root: str, byte_budget: int = 8 << 20) -> None:
@@ -327,6 +339,9 @@ class KernelCache:
         self.marker_claims = 0
         self.marker_waits = 0
         self.marker_takeovers = 0
+        #: decode memo: filename -> (verified VBK1 bytes, CompiledKernel).
+        self._decoded: dict[str, tuple[bytes, object]] = {}
+        self.decode_reuses = 0
         self._scan()
 
     # -- index maintenance ----------------------------------------------------
@@ -370,6 +385,7 @@ class KernelCache:
         with self._lock:
             self.quarantined += 1
             self._drop_index(name)
+            self._decoded.pop(name, None)
         obs.count("cache.quarantined")
 
     def _drop_index(self, name: str) -> int | None:
@@ -382,22 +398,11 @@ class KernelCache:
             self._bytes -= size
         return size
 
-    def _evict_over_budget(self) -> list[str]:
-        """Pop LRU names until the running total fits the budget.
-
-        Caller must hold ``_lock``.  Returns the evicted filenames; the
-        caller unlinks them *after* releasing the lock (index mutation
-        is locked, disk I/O is not).
-        """
-        evicted: list[str] = []
-        while self._index and self._bytes > self.byte_budget:
-            name, size = self._index.popitem(last=False)
-            self._bytes -= size
-            self.evictions += 1
-            evicted.append(name)
-        return evicted
-
     def _unlink_evicted(self, names: list[str]) -> None:
+        if names:
+            with self._lock:
+                for name in names:
+                    self._decoded.pop(name, None)
         for name in names:
             try:
                 os.unlink(os.path.join(self.root, name))
@@ -430,6 +435,10 @@ class KernelCache:
         ``put`` atomically replaces it, so this reader sees the old
         bytes or the new bytes, never a mix) — only the LRU touch takes
         the lock.
+
+        Bytes equal to the ones this cache last verified for the entry
+        skip the decode: the memoized kernel (and its cached
+        translations) is returned and counted in ``decode_reuses``.
         """
         name = key.filename()
         path = os.path.join(self.root, name)
@@ -443,23 +452,34 @@ class KernelCache:
             self._miss()
             self._quarantine(name, f"io: {exc}")
             return None
-        try:
-            ck = unpack_kernel(data)
-        except CacheError as exc:
-            self._miss()
-            self._quarantine(name, exc.kind)
-            return None
+        memo = self._decoded.get(name)
+        reused = memo is not None and memo[0] == data
+        if reused:
+            ck = memo[1]
+        else:
+            try:
+                ck = unpack_kernel(data)
+            except CacheError as exc:
+                self._miss()
+                self._quarantine(name, exc.kind)
+                return None
         with self._lock:
             # LRU touch (index mutation only).
             self._drop_index(name)
             self._index[name] = len(data)
             self._bytes += len(data)
             self.hits += 1
+            if reused:
+                self.decode_reuses += 1
+            else:
+                self._decoded[name] = (data, ck)
         try:
             os.utime(path)
         except OSError:
             pass
         obs.count("cache.hits")
+        if reused:
+            obs.count("cache.decode_reuses")
         return ck
 
     def put(self, key: CacheKey, ck) -> bool:
@@ -640,6 +660,7 @@ class KernelCache:
         name = key.filename()
         with self._lock:
             self._drop_index(name)
+            self._decoded.pop(name, None)
         try:
             os.unlink(os.path.join(self.root, name))
         except OSError:
@@ -671,4 +692,6 @@ class KernelCache:
                 "marker_claims": self.marker_claims,
                 "marker_waits": self.marker_waits,
                 "marker_takeovers": self.marker_takeovers,
+                "decoded": len(self._decoded),
+                "decode_reuses": self.decode_reuses,
             }

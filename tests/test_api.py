@@ -97,7 +97,6 @@ def test_api_all_snapshot():
         "resolve_engine",
         "resolve_compiler",
         "COMPILERS",
-        "ENGINES",
         "frontend_phase",
         "vectorize_phase",
         "encode_phase",

@@ -168,9 +168,70 @@ def test_cache_lru_eviction_respects_byte_budget(tmp_path):
 
 
 def _corrupt(path: str) -> None:
-    data = bytearray(open(path, "rb").read())
+    """Flip one byte in place (same inode, like ``chaos.cache_corrupt``)."""
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
     data[len(data) // 2] ^= 0x40
-    open(path, "wb").write(bytes(data))
+    with open(path, "wb") as f:
+        f.write(bytes(data))
+
+
+def test_cache_decode_memo_reuses_kernel_and_translation(tmp_path):
+    """Hot tier: while the entry's bytes are unchanged, ``get`` returns
+    the kernel it decoded before, with the translations cached on it.
+    The leader's freshly compiled kernel (it still holds ``.ir``) is
+    never memoized."""
+    cache, key, ck = _compiled(tmp_path)
+    assert cache.put(key, ck)
+    assert cache.stats()["decoded"] == 0
+    first = cache.get(key)
+    assert first is not ck and first.ir is None
+    code = first.translated("threaded")
+    again = cache.get(key)
+    assert again is first
+    assert again.translated("threaded") is code
+    s = cache.stats()
+    assert s["hits"] == 2 and s["decoded"] == 1 and s["decode_reuses"] == 1
+
+
+def test_cache_decode_memo_catches_in_place_flip(tmp_path):
+    """A byte flipped on the same inode after the entry was memoized is
+    caught by the next ``get``: the bytes read no longer equal the
+    verified bytes, so they are checked, quarantined, and never
+    served."""
+    cache, key, ck = _compiled(tmp_path)
+    cache.put(key, ck)
+    path = os.path.join(cache.root, key.filename())
+    assert cache.get(key) is not None
+    inode = os.stat(path).st_ino
+    _corrupt(path)
+    assert os.stat(path).st_ino == inode
+    assert cache.get(key) is None
+    s = cache.stats()
+    assert s["quarantined"] == 1 and s["decoded"] == 0
+    assert not os.path.exists(path)
+
+
+def test_cache_decode_memo_dropped_with_its_entry(tmp_path):
+    """Memo entries exist only for indexed names: ``evict`` and LRU
+    eviction drop them, so the byte budget bounds the memo too."""
+    cache, key, ck = _compiled(tmp_path)
+    cache.put(key, ck)
+    cache.get(key)
+    assert cache.stats()["decoded"] == 1
+    assert cache.evict(key)
+    assert cache.stats()["decoded"] == 0
+
+    cache.put(key, ck)
+    small = KernelCache(str(tmp_path / "small"),
+                        byte_budget=int(cache.total_bytes() * 2.5))
+    for i in range(4):
+        k = CacheKey(i, "sse", "gcc4cli")
+        small.put(k, ck)
+        assert small.get(k) is not None
+    s = small.stats()
+    assert s["evictions"] == 2
+    assert s["decoded"] == s["entries"] == 2
 
 
 def test_quarantine_names_never_collide_across_instances(tmp_path):

@@ -22,6 +22,7 @@ suite is deterministic on slow CI runners.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -32,6 +33,7 @@ from repro.harness import flows as flows_mod
 from repro.jit import OptimizingJIT
 from repro.service import KernelService, ServiceRequest
 from repro.service.singleflight import Flight, KeyedLocks, SingleFlight
+from repro.targets import get_target
 
 SIZE = 16
 FLOW = "split_vec_gcc4cli"
@@ -458,3 +460,58 @@ def test_warm_responses_byte_identical_to_cold_under_concurrency(tmp_path):
         assert resp.result.value == ref.value
         assert resp.result.bytecode_bytes == ref.bytecode_bytes
     assert any(r.from_cache for r in warm)
+
+
+def test_warm_hammer_shares_one_decoded_kernel(tmp_path):
+    """Hot tier: threads hammering one warm shape all run the cache's
+    memoized kernel — and its one translation — at the same time.  No
+    run may corrupt another (zero service retries), every answer is
+    identical, and ``cache.get`` keeps returning the same
+    ``CompiledKernel`` while the entry file is unchanged."""
+    req = ServiceRequest("saxpy_fp", flow=FLOW, target="sse", size=256)
+    svc = KernelService(cache_dir=str(tmp_path / "c"), workers=8,
+                        queue_limit=64)
+    answers: list = []
+    errors: list = []
+    lock = threading.Lock()
+
+    def spin():
+        try:
+            for _ in range(8):
+                resp = svc.handle(req)
+                with lock:
+                    answers.append((
+                        resp.status, resp.from_cache, resp.result.checked,
+                        resp.result.cycles, resp.result.value,
+                    ))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    try:
+        assert svc.handle(req).status == "ok"  # cold: compile + put
+        key = svc._cache_key_ir(
+            svc._instance(req.kernel, req.size), FLOW, get_target("sse")
+        )[0]
+        memoized = svc.cache.get(key)
+        assert svc.cache.get(key) is memoized
+        # Switch threads every few bytecodes so runs really interleave.
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=spin) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert svc.cache.get(key) is memoized
+        stats = svc.stats()
+    finally:
+        sys.setswitchinterval(interval)
+        svc.close()
+    assert not errors, errors
+    assert len(answers) == 48
+    assert len(set(answers)) == 1, set(answers)
+    assert answers[0][:3] == ("ok", True, True)
+    assert stats["retries"] == 0
+    assert stats["cache"]["decoded"] == 1
+    assert stats["cache"]["decode_reuses"] >= 48

@@ -13,9 +13,12 @@ the whole gate just by registering itself.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.api import execute_phase
 from repro.harness.flows import FlowRunner
 from repro.kernels import all_kernels, get_kernel
 from repro.machine import VM, VMError
@@ -53,22 +56,42 @@ def diff_runner() -> FlowRunner:
     return FlowRunner()
 
 
-def _run_both(runner, inst, flow, target_name, engine="threaded"):
-    """Run one compiled kernel through the reference VM and ``engine``;
-    returns the two RunResults plus the two buffer sets (for memory
-    comparison)."""
+@pytest.fixture(scope="module")
+def reference_runs() -> dict:
+    """(kernel, size, flow, target) -> (reference RunResult, arrays).
+
+    The reference VM is deterministic, so one run per cell serves as the
+    oracle for every candidate engine instead of re-running it per
+    engine (the matrix's dominant cost)."""
+    return {}
+
+
+def _elements(bufs) -> dict:
+    return {name: buf.read_elements() for name, buf in bufs.items()}
+
+
+def _run_both(runner, memo, inst, flow, target_name, engine="threaded"):
+    """Run one compiled kernel through the reference VM (once per cell,
+    memoized in ``memo``) and ``engine`` on fresh buffers; returns the
+    two RunResults plus the two final array sets."""
     target = get_target(target_name)
     ck = runner.compiled(inst, flow, target)
-    ref_bufs = runner.make_buffers(inst)
-    ref = VM(target).run(ck.mfunc, inst.scalar_args, ref_bufs, count_ops=True)
+    key = (inst.name, inst.size, flow, target_name)
+    if key not in memo:
+        ref_bufs = runner.make_buffers(inst)
+        ref = VM(target).run(
+            ck.mfunc, inst.scalar_args, ref_bufs, count_ops=True
+        )
+        memo[key] = (ref, _elements(ref_bufs))
+    ref, ref_arrays = memo[key]
     eng_bufs = runner.make_buffers(inst)
     eng = _engine_run(
         ck, engine, inst.scalar_args, eng_bufs, count_ops=True
     )
-    return ref, eng, ref_bufs, eng_bufs
+    return ref, eng, ref_arrays, _elements(eng_bufs)
 
 
-def _assert_identical(ref, thr, ref_bufs, thr_bufs, what):
+def _assert_identical(ref, thr, ref_arrays, thr_arrays, what):
     assert ref.instructions == thr.instructions, what
     assert ref.cycles == thr.cycles, what
     assert dict(ref.op_counts) == dict(thr.op_counts), what
@@ -76,22 +99,24 @@ def _assert_identical(ref, thr, ref_bufs, thr_bufs, what):
         assert thr.value is None, what
     else:
         assert thr.value is not None and ref.value == thr.value, what
-    for name, buf in ref_bufs.items():
-        a = buf.read_elements()
-        b = thr_bufs[name].read_elements()
-        assert np.array_equal(a, b), f"{what}: array {name} diverged"
+    assert ref_arrays.keys() == thr_arrays.keys(), what
+    for name, a in ref_arrays.items():
+        assert np.array_equal(a, thr_arrays[name]), (
+            f"{what}: array {name} diverged"
+        )
 
 
 @pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
 @pytest.mark.parametrize("kernel", [k.name for k in all_kernels()])
-def test_engines_bit_identical(kernel, engine, diff_runner):
+def test_engines_bit_identical(kernel, engine, diff_runner,
+                               reference_runs):
     """Full matrix: every kernel x target x compiler, every engine."""
     k = get_kernel(kernel)
     inst = k.instantiate(_diff_size(k))
     for target_name in ALL_TARGETS:
         for flow in COMPILER_FLOWS:
             ref, eng, rb, eb = _run_both(
-                diff_runner, inst, flow, target_name, engine
+                diff_runner, reference_runs, inst, flow, target_name, engine
             )
             _assert_identical(
                 ref, eng, rb, eb, f"{kernel}/{flow}/{target_name}/{engine}"
@@ -99,7 +124,7 @@ def test_engines_bit_identical(kernel, engine, diff_runner):
 
 
 @pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
-def test_scalar_flows_bit_identical(engine, diff_runner):
+def test_scalar_flows_bit_identical(engine, diff_runner, reference_runs):
     """The scalar flows (A and the gcc4cli scalar baseline) agree too."""
     k = get_kernel("saxpy_fp")
     inst = k.instantiate(32)
@@ -107,7 +132,7 @@ def test_scalar_flows_bit_identical(engine, diff_runner):
                  "native_scalar"):
         for target_name in ("sse", "scalar"):
             ref, eng, rb, eb = _run_both(
-                diff_runner, inst, flow, target_name, engine
+                diff_runner, reference_runs, inst, flow, target_name, engine
             )
             _assert_identical(ref, eng, rb, eb, f"{flow}/{target_name}")
 
@@ -252,6 +277,91 @@ def test_trap_parity_budget_vs_alignment_race(budget, engine, diff_runner):
     )
     assert ref_trap[0] is VMError
     assert ref_trap == eng_trap
+
+
+# -- concurrent runs of one shared kernel -------------------------------------
+
+
+class _ParkingArgs(dict):
+    """Scalar arguments whose first lookup calls ``on_read``.  Engines
+    bind a run's arrays before they read its scalars, so a run parked in
+    ``on_read`` is a run in progress with its arrays bound."""
+
+    def __init__(self, args, on_read):
+        super().__init__(args)
+        self._on_read = on_read
+
+    def __getitem__(self, name):
+        hook, self._on_read = self._on_read, None
+        if hook is not None:
+            hook()
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+@pytest.mark.parametrize("kernel", ["saxpy_fp", "sad_s8"])
+def test_shared_kernel_concurrent_runs_match_serial(kernel, engine,
+                                                    diff_runner):
+    """The service hands one ``CompiledKernel`` — and so one translation
+    — to every thread serving its shape (single-flight followers share
+    the leader's kernel, warm hits the cache's decode memo).  Threads
+    running it at once on different inputs must each get exactly the
+    result of a serial run: value, accounting and every array.
+
+    The interleaving is forced, not hoped for: run A parks mid-run (its
+    arrays bound) until run B has started, or for 0.25 s if B cannot
+    start because the engine serializes runs of one translation."""
+    k = get_kernel(kernel)
+    target = get_target("sse")
+    ck = diff_runner.compiled(k.instantiate(256), "split_vec_gcc4cli", target)
+    assert ck.mfunc.scalar_params, "the parking hook needs a scalar read"
+    insts = [k.instantiate(256, seed=seed) for seed in range(2)]
+
+    def run(inst, scalar_args):
+        bufs = diff_runner.make_buffers(inst)
+        res = execute_phase(ck, scalar_args, bufs, engine=engine)
+        return res, _elements(bufs)
+
+    serial = [run(inst, inst.scalar_args) for inst in insts]
+    # Each seed has its own answer, so a run that crossed over shows.
+    answers = {
+        (r.value, b"".join(a.tobytes() for a in arrays.values()))
+        for r, arrays in serial
+    }
+    assert len(answers) == len(insts)
+
+    a_parked, b_started = threading.Event(), threading.Event()
+
+    def park_a():
+        a_parked.set()
+        b_started.wait(timeout=0.25)
+
+    hooks = [park_a, b_started.set]
+    results: list = [None] * len(insts)
+    errors: list = []
+
+    def worker(i):
+        try:
+            results[i] = run(insts[i], _ParkingArgs(insts[i].scalar_args,
+                                                    hooks[i]))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(2)
+    ]
+    threads[0].start()
+    assert a_parked.wait(timeout=10)
+    threads[1].start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for i, (res, arrays) in enumerate(results):
+        ref, ref_arrays = serial[i]
+        _assert_identical(
+            ref, res, ref_arrays, arrays, f"{kernel}/{engine}/seed {i}"
+        )
 
 
 # -- translation caching ------------------------------------------------------
