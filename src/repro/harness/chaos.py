@@ -34,11 +34,18 @@ Failing outcomes — ``silent-wrong`` (corruption accepted), ``wrong-answer``
 ``parity-mismatch`` (the two VM engines disagree on a trap) — make the
 campaign fail.
 
-Campaigns are deterministic in ``seed`` and run single-process (the
-``harness`` layer, which needs real worker processes, is opt-in via
-``include_harness``).
+One driver, :func:`run_campaign`, runs every campaign from a table
+with one row per profile (``layers``, ``service``, ``gateway``,
+``fleet``): a soak factory, the ``(layer, weight, trial)`` entries of
+the seeded draw, the scripted epilogues, and a stats callable.  Every
+profile judges responses with one judge over the canonical wire dict
+(:func:`repro.service.wire.response_payload`).
 
-**Service soak profile** (:func:`run_service_campaign`, CLI ``repro chaos
+The default ``layers`` profile (the table above) is deterministic in
+``seed`` and runs single-process (the ``harness`` layer, which needs
+real worker processes, is opt-in via ``include_harness``).
+
+**Service soak profile** (``run_campaign("service")``, CLI ``repro chaos
 --profile service``): the same invariant asserted against a *live*
 :class:`~repro.service.KernelService` — one long-running service absorbs
 hundreds of seeded faults (on-disk cache corruption, torn cache writes,
@@ -49,7 +56,7 @@ their :class:`~repro.jit.materialize.DegradationEvent` chain, rejections
 carry a closed-taxonomy tag, and corrupt/torn cache entries are
 quarantined and recompiled, never served.
 
-**Gateway soak profile** (:func:`run_gateway_campaign`, CLI ``repro chaos
+**Gateway soak profile** (``run_campaign("gateway")``, CLI ``repro chaos
 --profile gateway``): the invariant moves out to the *network front
 door* — a live :class:`~repro.service.gateway.ThreadedGateway` fronting
 a farm-backed service absorbs seeded wire-level hostility (garbage
@@ -61,13 +68,24 @@ reproduces the cold reference bit-for-bit; every partial frame is
 classified), **zero unclassified errors** (every rejection carries a
 closed-taxonomy tag), and **zero leaked farm workers** (after the drain
 epilogue and service close, no compile worker PID survives).
+
+**Fleet soak profile** (``run_campaign("fleet")``, CLI ``repro chaos
+--profile fleet``): SIGKILLs the shard-owner replica of a supervised
+fleet mid-compile, mid-cache-write, while it holds a ``.lead`` marker,
+and mid-frame, then audits the shared cache (``torn-cache``), stale
+leader markers (``stale-lead``) and killed pids (``leaked-workers``).
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable
 
 from .. import faults
 from ..bytecode import encode_module
@@ -82,18 +100,12 @@ __all__ = [
     "ChaosTrial",
     "ChaosReport",
     "run_campaign",
-    "run_service_campaign",
-    "run_gateway_campaign",
     "LAYERS",
     "SERVICE_LAYERS",
     "FARM_LAYERS",
     "GATEWAY_LAYERS",
+    "FLEET_LAYERS",
 ]
-
-#: injection layers with their campaign weights.
-LAYERS = ("bytecode", "jit-lowering", "jit-materialize", "vm-mem",
-          "vm-misalign")
-_WEIGHTS = (40, 20, 5, 20, 15)
 
 #: failing outcome tags (anything else passes).  ``torn-response`` (a
 #: partial or corrupted wire frame accepted as an answer) and
@@ -133,7 +145,7 @@ class ChaosReport:
 
     seed: int
     trials: list = field(default_factory=list)
-    #: final ``KernelService.stats()`` snapshot (service profile only).
+    #: the profile's final stats snapshot (None for ``layers``).
     service_stats: dict | None = None
 
     @property
@@ -283,586 +295,44 @@ def _trial_vm_misalign(kernel: str, size: int, rng) -> ChaosTrial:
     return ChaosTrial("vm-misalign", kernel, repr(fault), "correct", "")
 
 
-def _trials_harness(kernels, size: int, rng, timeout: float) -> list:
-    """One crashed and one stalled sweep (worker processes required)."""
+def _trial_harness(fault, kernels, size: int,
+                   timeout: float) -> ChaosTrial:
+    """One sweep with a crashed or stalled worker (worker processes
+    required)."""
     from .parallel import Cell, run_cells
 
-    out = []
     cells = [
         Cell(k, flow, "sse", size) for k in kernels for flow in _FLOWS
     ]
-    for fault in (
-        faults.WorkerCrash(kernel=rng.choice(kernels)),
-        faults.WorkerStall(kernel=rng.choice(kernels), seconds=3600.0),
-    ):
-        plan = faults.FaultPlan([fault])
-        results = run_cells(
-            cells, jobs=2, fault_plan=plan, timeout=timeout, retries=1
-        )
-        bad = [r for r in results if not r.ok]
-        wrongly_ok = [r for r in bad if r.cell.kernel != fault.kernel]
-        missing = len(results) != len(cells)
-        if wrongly_ok or missing or not bad:
-            out.append(ChaosTrial(
-                "harness", fault.kernel, repr(fault), "silent-wrong",
-                f"quarantined={[(r.cell.kernel, r.cell.flow) for r in bad]} "
-                f"of {len(results)}/{len(cells)} results",
-            ))
-        else:
-            out.append(ChaosTrial(
-                "harness", fault.kernel, repr(fault), "quarantined",
-                f"{len(bad)} cell(s) quarantined "
-                f"({bad[0].error_kind}), {len(results) - len(bad)} completed",
-            ))
-    return out
-
-
-def run_campaign(
-    n_faults: int = 200,
-    seed: int = 0,
-    kernels=_DEFAULT_KERNELS,
-    size: int = 16,
-    include_harness: bool = False,
-    harness_timeout: float = 10.0,
-) -> ChaosReport:
-    """Inject ``n_faults`` seeded faults; returns the outcome census.
-
-    Deterministic in ``seed``.  ``include_harness`` adds two process-pool
-    sweeps (a worker crash and a worker stall) on top of ``n_faults``.
-    """
-    rng = random.Random(seed)
-    kernels = tuple(kernels)
-    report = ChaosReport(seed=seed)
-    enc_cache: dict = {}
-    for _ in range(int(n_faults)):
-        layer = rng.choices(LAYERS, weights=_WEIGHTS)[0]
-        kernel = rng.choice(kernels)
-        if layer == "bytecode":
-            t = _trial_bytecode(kernel, size, rng, enc_cache)
-        elif layer == "jit-lowering":
-            t = _trial_jit(kernel, size, rng, materialize=False)
-        elif layer == "jit-materialize":
-            t = _trial_jit(kernel, size, rng, materialize=True)
-        elif layer == "vm-mem":
-            t = _trial_vm_mem(kernel, size, rng)
-        else:
-            t = _trial_vm_misalign(kernel, size, rng)
-        report.trials.append(t)
-    if include_harness:
-        report.trials.extend(
-            _trials_harness(kernels, size, rng, harness_timeout)
-        )
-    return report
-
-
-# -- the service soak profile -------------------------------------------------
-
-#: service-profile fault layers with their campaign weights.
-SERVICE_LAYERS = (
-    "svc-plain", "svc-cache-corrupt", "svc-torn-write", "svc-jit-lowering",
-    "svc-jit-materialize", "svc-vm-transient", "svc-vm-persistent",
-    "svc-overload", "svc-deadline",
-)
-_SERVICE_WEIGHTS = (20, 18, 8, 12, 8, 12, 12, 5, 5)
-
-#: extra layers mixed in when the soak runs with a compile farm
-#: (``farm_workers > 0``); kept separate so the default campaign's
-#: seeded fault stream — and every pinned-seed determinism test — is
-#: unchanged by the farm's existence.
-FARM_LAYERS = ("svc-farm-crash", "svc-farm-stall", "svc-stale-marker")
-_FARM_WEIGHTS = (6, 4, 5)
-
-
-class _ServiceSoak:
-    """State of one service soak campaign: a live service, a cold
-    no-cache reference runner, and per-trial validators."""
-
-    def __init__(self, seed: int, size: int, cache_dir: str,
-                 farm_workers: int = 0) -> None:
-        from ..service import KernelService
-
-        self.rng = random.Random(seed)
-        self.seed = seed
-        self.size = size
-        self.cache_dir = cache_dir
-        # backoff_base=0 keeps the soak fast and deterministic (no real
-        # sleeps); tight breaker knobs make open/half-open/closed cycles
-        # happen organically within a 200-fault campaign.  The tight
-        # farm budget keeps the stall-watchdog trials sub-second.
-        self.svc = KernelService(
-            cache_dir=cache_dir, seed=seed, retries=1,
-            backoff_base=0.0, breaker_threshold=2, breaker_cooldown=4,
-            queue_limit=16, workers=2,
-            farm_workers=farm_workers, farm_budget_s=0.4,
-        )
-        self.ref_runner = FlowRunner()
-        self._refs: dict = {}
-        self._torn = 0
-
-    def close(self) -> None:
-        self.svc.close()
-
-    def _request(self, kernel: str, size: int | None = None, **over):
-        from ..service import ServiceRequest
-
-        return ServiceRequest(
-            kernel,
-            flow=over.get("flow", self.rng.choice(_FLOWS)),
-            target=over.get("target", self.rng.choice(_TARGETS)),
-            size=self.size if size is None else size,
-            deadline_s=over.get("deadline_s"),
-        )
-
-    def reference(self, kernel: str, flow: str, target: str, size: int):
-        """Cold no-cache (cycles, value) for one shape, computed outside
-        any fault extent."""
-        key = (kernel, flow, target, size)
-        if key not in self._refs:
-            inst = get_kernel(kernel).instantiate(size)
-            r = self.ref_runner.run(inst, flow, target)
-            self._refs[key] = (r.cycles, r.value)
-        return self._refs[key]
-
-    def judge(self, layer: str, fault: str, req, resp) -> ChaosTrial:
-        """Classify a ServiceResponse against the fail-soft invariant."""
-        kernel = req.kernel
-        if resp.error is not None and resp.error.startswith("unclassified"):
-            return ChaosTrial(layer, kernel, fault, "unclassified-trap",
-                              resp.error)
-        if resp.result is not None:
-            if not resp.result.checked and resp.status != "stale":
-                return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                  "result served without checking")
-            if resp.status == "ok":
-                cycles, value = self.reference(
-                    kernel, resp.result.flow, resp.result.target, req.size
-                )
-                if resp.result.cycles != cycles or resp.result.value != value:
-                    return ChaosTrial(
-                        layer, kernel, fault, "wrong-answer",
-                        f"cycles {resp.result.cycles} vs cold {cycles}",
-                    )
-                return ChaosTrial(layer, kernel, fault, "correct",
-                                  "warm-cache" if resp.from_cache else "")
-            if resp.status == "stale":
-                if not resp.events:
-                    return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                      "stale response without event chain")
-                return ChaosTrial(layer, kernel, fault, "served-stale",
-                                  "; ".join(e.cause for e in resp.events))
-            # degraded
-            if not resp.events:
-                return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                  "degraded response without event chain")
-            return ChaosTrial(layer, kernel, fault, "degraded-correct",
-                              "; ".join(e.cause for e in resp.events))
-        if resp.status == "shed":
-            return ChaosTrial(layer, kernel, fault, "shed", resp.error or "")
-        if resp.status == "rejected":
-            if resp.error is None:
-                return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                                  "rejected without a classified tag")
-            return ChaosTrial(layer, kernel, fault, "trapped", resp.error)
-        return ChaosTrial(layer, kernel, fault, "silent-wrong",
-                          f"unknown response status {resp.status!r}")
-
-    # -- trial kinds ----------------------------------------------------------
-
-    def plain(self, kernel: str) -> ChaosTrial:
-        req = self._request(kernel)
-        return self.judge("svc-plain", "none", req, self.svc.handle(req))
-
-    def cache_corrupt(self, kernel: str) -> ChaosTrial:
-        """Flip one byte of every on-disk entry, then serve: corrupted
-        entries must be quarantined and recompiled, never served."""
-        import os
-
-        names = [
-            n for n in os.listdir(self.cache_dir) if n.endswith(".vbk")
-        ]
-        for name in names:
-            path = os.path.join(self.cache_dir, name)
-            with open(path, "rb") as f:
-                data = bytearray(f.read())
-            if not data:
-                continue
-            off = self.rng.randrange(len(data))
-            data[off] ^= 1 << self.rng.randrange(8)
-            with open(path, "wb") as f:
-                f.write(bytes(data))
-        before = self.svc.cache.quarantined
-        req = self._request(kernel)
-        resp = self.svc.handle(req)
-        if names and resp.from_cache:
-            return ChaosTrial(
-                "svc-cache-corrupt", kernel, "bitflip-all-entries",
-                "silent-wrong", "a corrupted cache entry was served",
-            )
-        trial = self.judge("svc-cache-corrupt", "bitflip-all-entries",
-                           req, resp)
-        if not trial.ok:
-            return trial
-        healed = self.svc.cache.quarantined > before
-        # Self-healing: the same request is now re-servable (recompiled,
-        # overwritten) with identical results.
-        resp2 = self.svc.handle(req)
-        trial2 = self.judge("svc-cache-corrupt", "bitflip-all-entries",
-                            req, resp2)
-        if not trial2.ok:
-            return trial2
-        if (
-            resp.result is not None and resp2.result is not None
-            and resp2.result.value != resp.result.value
-        ):
-            return ChaosTrial(
-                "svc-cache-corrupt", kernel, "bitflip-all-entries",
-                "wrong-answer", "recompiled entry changed the answer",
-            )
+    plan = faults.FaultPlan([fault])
+    results = run_cells(
+        cells, jobs=2, fault_plan=plan, timeout=timeout, retries=1
+    )
+    bad = [r for r in results if not r.ok]
+    wrongly_ok = [r for r in bad if r.cell.kernel != fault.kernel]
+    missing = len(results) != len(cells)
+    if wrongly_ok or missing or not bad:
         return ChaosTrial(
-            "svc-cache-corrupt", kernel, "bitflip-all-entries",
-            "healed" if healed else trial.outcome,
-            f"quarantined {self.svc.cache.quarantined - before} entries",
+            "harness", fault.kernel, repr(fault), "silent-wrong",
+            f"quarantined={[(r.cell.kernel, r.cell.flow) for r in bad]} "
+            f"of {len(results)}/{len(cells)} results",
         )
-
-    def torn_write(self, kernel: str) -> ChaosTrial:
-        """Kill the (simulated) service mid-cache-write: no entry under
-        the final name, fresh services recompile."""
-        from ..service import KernelService
-
-        self._torn += 1
-        req = self._request(kernel, flow="split_vec_gcc4cli", target="sse")
-        # Drop any existing entry so the request compiles and *puts* — the
-        # put is where the torn write fires.  (The cache key is a function
-        # of the bytecode, so a warm entry would otherwise absorb it.)
-        self.svc.evict(kernel, req.flow, req.target, size=req.size)
-        fault = faults.CacheTornWrite()
-        before = self.svc.cache.put_failures
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge("svc-torn-write", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc.cache.put_failures <= before:
-            return ChaosTrial("svc-torn-write", kernel, repr(fault),
-                              "silent-wrong", "torn write did not fire")
-        # Crash-safety: a fresh service over the same directory must not
-        # find (let alone serve) the half-written entry.
-        fresh = KernelService(cache_dir=self.cache_dir, seed=self.seed)
-        try:
-            resp2 = fresh.handle(req)
-        finally:
-            fresh.close()
-        if resp2.from_cache:
-            return ChaosTrial(
-                "svc-torn-write", kernel, repr(fault), "silent-wrong",
-                "fresh service served a torn-write entry",
-            )
-        trial2 = self.judge("svc-torn-write", repr(fault), req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial(
-            "svc-torn-write", kernel, repr(fault), "crash-safe",
-            "destination untouched; fresh service recompiled",
-        )
-
-    def jit(self, kernel: str, materialize: bool) -> ChaosTrial:
-        layer = "svc-jit-materialize" if materialize else "svc-jit-lowering"
-        fault = (
-            faults.MaterializeFault(target="*") if materialize
-            else faults.LoweringFault(idiom=self.rng.choice(_IDIOMS),
-                                      target="*")
-        )
-        req = self._request(kernel)
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge(layer, repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        # Taint guard: the fault-degraded artifact must not have been
-        # persisted — a later clean request must not replay the fault.
-        resp2 = self.svc.handle(self._request(
-            kernel, flow=req.flow, target=req.target
-        ))
-        if resp2.events and any(
-            e.cause == "fault-injected" for e in resp2.events
-        ):
-            return ChaosTrial(
-                layer, kernel, repr(fault), "silent-wrong",
-                "fault-degraded artifact leaked into the persistent cache",
-            )
-        return trial
-
-    def vm(self, kernel: str, persistent: bool) -> ChaosTrial:
-        layer = "svc-vm-persistent" if persistent else "svc-vm-transient"
-        fault = (
-            faults.MemFault(after=self.rng.randrange(1, 8), repeat=True)
-            if persistent
-            else faults.MemFault(after=self.rng.randrange(1, 80))
-        )
-        req = self._request(kernel)
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        return self.judge(layer, repr(fault), req, resp)
-
-    def overload(self, kernel: str) -> ChaosTrial:
-        """Saturate admission, observe a classified shed, then recover."""
-        adm = self.svc.admission
-        slots = []
-        try:
-            while adm.depth < adm.limit:
-                slots.append(adm.admit())
-            req = self._request(kernel)
-            resp = self.svc.handle(req)
-        finally:
-            for s in slots:
-                s.__exit__(None, None, None)
-        if resp.status != "shed" or resp.error != "OverloadError":
-            return ChaosTrial(
-                "svc-overload", kernel, "admission-saturation",
-                "silent-wrong",
-                f"expected a classified shed, got {resp.status}/{resp.error}",
-            )
-        resp2 = self.svc.handle(req)
-        trial2 = self.judge("svc-overload", "admission-saturation",
-                            req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial("svc-overload", kernel, "admission-saturation",
-                          "shed", "shed while saturated, served after")
-
-    def deadline(self, kernel: str) -> ChaosTrial:
-        req = self._request(kernel, deadline_s=0.0)
-        resp = self.svc.handle(req)
-        trial = self.judge("svc-deadline", "deadline_s=0", req, resp)
-        # An open breaker (left by an earlier persistent-fault trial) may
-        # short-circuit before the deadline is even consulted; both tags
-        # are classified and correct for their interleaving.
-        if trial.outcome == "trapped" and resp.error not in (
-            "DeadlineError", "CircuitOpenError"
-        ):
-            return ChaosTrial(
-                "svc-deadline", kernel, "deadline_s=0", "silent-wrong",
-                f"expected DeadlineError, got {resp.error}",
-            )
-        return trial
-
-    # -- compile-farm trials (farm_workers > 0 campaigns only) ----------------
-
-    def farm_crash(self, kernel: str) -> ChaosTrial:
-        """A farm worker dies mid-compile: the pool is rebuilt, the job
-        rerouted inline, the response classified and correct, and the
-        cache entry written afterwards is whole (served next request)."""
-        req = self._request(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req.flow, req.target, size=req.size)
-        fault = faults.WorkerCrash(kernel=kernel)
-        before = self.svc._farm.crashes
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge("svc-farm-crash", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc._farm.crashes <= before:
-            return ChaosTrial("svc-farm-crash", kernel, repr(fault),
-                              "silent-wrong", "worker crash did not fire")
-        # No torn entry: the rerouted compile's cache entry must verify
-        # and serve (a crash must never poison what the leader persists).
-        resp2 = self.svc.handle(req)
-        trial2 = self.judge("svc-farm-crash", repr(fault), req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial("svc-farm-crash", kernel, repr(fault),
-                          "rerouted", "pool rebuilt; compiled inline")
-
-    def farm_stall(self, kernel: str) -> ChaosTrial:
-        """A wedged farm worker outlives the compile budget: the
-        watchdog kills the pool and the leader reroutes inline."""
-        req = self._request(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req.flow, req.target, size=req.size)
-        fault = faults.WorkerStall(kernel=kernel, seconds=30.0)
-        before = self.svc._farm.stalls
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge("svc-farm-stall", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc._farm.stalls <= before:
-            return ChaosTrial("svc-farm-stall", kernel, repr(fault),
-                              "silent-wrong",
-                              "stall watchdog did not fire")
-        return ChaosTrial("svc-farm-stall", kernel, repr(fault),
-                          "rerouted", "budget watchdog killed the worker; "
-                          "compiled inline")
-
-    def stale_marker(self, kernel: str) -> ChaosTrial:
-        """A dead replica's aged leader marker sits next to the entry at
-        claim time: this service must take leadership over (TTL expiry),
-        compile, and serve — never wait forever on a corpse."""
-        req = self._request(kernel, flow="split_vec_gcc4cli")
-        self.svc.evict(kernel, req.flow, req.target, size=req.size)
-        fault = faults.StaleMarker()
-        before = self.svc.cache.marker_takeovers
-        with faults.injected(faults.FaultPlan([fault])):
-            resp = self.svc.handle(req)
-        trial = self.judge("svc-stale-marker", repr(fault), req, resp)
-        if not trial.ok:
-            return trial
-        if self.svc.cache.marker_takeovers <= before:
-            return ChaosTrial("svc-stale-marker", kernel, repr(fault),
-                              "silent-wrong",
-                              "marker takeover did not fire")
-        return ChaosTrial("svc-stale-marker", kernel, repr(fault),
-                          "marker-takeover",
-                          "aged marker reclaimed; compiled locally")
-
-    # -- scripted epilogue trials ---------------------------------------------
-
-    def breaker_cycle(self) -> ChaosTrial:
-        """Deterministic closed -> open -> half-open -> closed cycle."""
-        from ..service import KernelService
-
-        s2 = KernelService(
-            cache_dir=None, retries=0, backoff_base=0.0,
-            breaker_threshold=2, breaker_cooldown=3,
-        )
-        try:
-            req = self._request("saxpy_fp", flow="split_vec_gcc4cli",
-                                target="neon")
-            plan = faults.FaultPlan([faults.MemFault(after=1, repeat=True)])
-            states = []
-            with faults.injected(plan):
-                for _ in range(2):          # threshold failures -> open
-                    s2.handle(req)
-                states.append(s2._breakers["neon"].state)
-                for _ in range(2):          # cooldown - 1 short-circuits
-                    s2.handle(req)
-                states.append(s2._breakers["neon"].state)
-            # The request that crosses the cooldown IS the probe (the
-            # breaker no longer burns one extra denied request arming
-            # it); the fault has cleared, so it succeeds and closes.
-            probe = s2.handle(req)
-            states.append(s2._breakers["neon"].state)
-            ok = (
-                states == ["open", "open", "closed"]
-                and probe.result is not None
-            )
-            return ChaosTrial(
-                "svc-breaker", "saxpy_fp", "MemFault(repeat)",
-                "breaker-cycled" if ok else "silent-wrong",
-                f"states={states}",
-            )
-        finally:
-            s2.close()
-
-    def stale_serve(self) -> ChaosTrial:
-        """A known-good result survives a total runtime outage."""
-        from ..service import KernelService
-
-        s3 = KernelService(cache_dir=None, retries=0, backoff_base=0.0)
-        try:
-            req = self._request("dscal_fp", flow="split_vec_gcc4cli",
-                                target="sse")
-            good = s3.handle(req)
-            plan = faults.FaultPlan([faults.MemFault(after=1, repeat=True)])
-            with faults.injected(plan):
-                resp = s3.handle(req)
-            ok = (
-                good.status == "ok"
-                and resp.status == "stale"
-                and resp.result is not None
-                and resp.result.value == good.result.value
-                and resp.result.cycles == good.result.cycles
-                and any(e.cause == "stale-cache" for e in resp.events)
-            )
-            return ChaosTrial(
-                "svc-stale", "dscal_fp", "MemFault(repeat)",
-                "served-stale" if ok else "silent-wrong",
-                f"status={resp.status}, events="
-                f"{[e.cause for e in resp.events]}",
-            )
-        finally:
-            s3.close()
+    return ChaosTrial(
+        "harness", fault.kernel, repr(fault), "quarantined",
+        f"{len(bad)} cell(s) quarantined "
+        f"({bad[0].error_kind}), {len(results) - len(bad)} completed",
+    )
 
 
-def run_service_campaign(
-    n_faults: int = 200,
-    seed: int = 0,
-    kernels=_DEFAULT_KERNELS,
-    size: int = 16,
-    cache_dir: str | None = None,
-    farm_workers: int = 0,
-) -> ChaosReport:
-    """Soak a live :class:`~repro.service.KernelService` with ``n_faults``
-    seeded faults; returns the outcome census with ``service_stats``
-    attached.  Deterministic in ``seed`` (service jitter is seeded and
-    backoff sleeps are disabled).
-
-    ``farm_workers > 0`` runs the service with a compile farm and mixes
-    the :data:`FARM_LAYERS` into the stream — worker crash/stall at the
-    dispatch boundary and stale cross-replica leader markers at claim
-    time.  The default (farm-less) fault stream is bit-for-bit what it
-    was before the farm existed, so pinned-seed campaigns stay stable.
-    """
-    import shutil
-    import tempfile
-
-    rng = random.Random(seed)
-    kernels = tuple(kernels)
-    layers, weights = SERVICE_LAYERS, _SERVICE_WEIGHTS
-    if int(farm_workers) > 0:
-        layers = layers + FARM_LAYERS
-        weights = weights + _FARM_WEIGHTS
-    own_dir = cache_dir is None
-    root = cache_dir or tempfile.mkdtemp(prefix="repro-svc-chaos-")
-    soak = _ServiceSoak(seed, size, root, farm_workers=int(farm_workers))
-    report = ChaosReport(seed=seed)
-    try:
-        for _ in range(int(n_faults)):
-            layer = rng.choices(layers, weights=weights)[0]
-            kernel = rng.choice(kernels)
-            if layer == "svc-plain":
-                t = soak.plain(kernel)
-            elif layer == "svc-cache-corrupt":
-                t = soak.cache_corrupt(kernel)
-            elif layer == "svc-torn-write":
-                t = soak.torn_write(kernel)
-            elif layer == "svc-jit-lowering":
-                t = soak.jit(kernel, materialize=False)
-            elif layer == "svc-jit-materialize":
-                t = soak.jit(kernel, materialize=True)
-            elif layer == "svc-vm-transient":
-                t = soak.vm(kernel, persistent=False)
-            elif layer == "svc-vm-persistent":
-                t = soak.vm(kernel, persistent=True)
-            elif layer == "svc-overload":
-                t = soak.overload(kernel)
-            elif layer == "svc-farm-crash":
-                t = soak.farm_crash(kernel)
-            elif layer == "svc-farm-stall":
-                t = soak.farm_stall(kernel)
-            elif layer == "svc-stale-marker":
-                t = soak.stale_marker(kernel)
-            else:
-                t = soak.deadline(kernel)
-            report.trials.append(t)
-        report.trials.append(soak.breaker_cycle())
-        report.trials.append(soak.stale_serve())
-        report.service_stats = soak.svc.stats()
-    finally:
-        soak.close()
-        if own_dir:
-            shutil.rmtree(root, ignore_errors=True)
-    return report
+# -- plumbing shared by every profile -----------------------------------------
 
 
-# -- the gateway soak profile --------------------------------------------------
-
-#: gateway-profile fault layers with their campaign weights.
-GATEWAY_LAYERS = (
-    "gw-plain", "gw-garbage", "gw-truncated", "gw-slowloris",
-    "gw-conn-drop", "gw-overload", "gw-deadline", "gw-jit-fault",
-    "gw-batch",
-)
-_GATEWAY_WEIGHTS = (30, 10, 10, 8, 12, 8, 10, 12, 12)
+@functools.lru_cache(maxsize=None)
+def _reference(kernel: str, flow: str, target: str, size: int):
+    """Cold no-cache (cycles, value) for one shape, computed outside any
+    fault extent (memoized per process: it is a pure function)."""
+    r = FlowRunner().run(get_kernel(kernel).instantiate(size), flow, target)
+    return r.cycles, r.value
 
 
 def _pid_alive(pid: int) -> bool:
@@ -877,32 +347,46 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-class _WireJudge:
-    """Response judging shared by the gateway and fleet soaks.
+def _wait_dead(pids, timeout: float) -> list:
+    """Poll until every pid in ``pids`` is gone or ``timeout`` seconds
+    pass; returns the survivors."""
+    deadline = time.perf_counter() + timeout
+    alive = [p for p in pids if _pid_alive(p)]
+    while alive and time.perf_counter() < deadline:
+        time.sleep(0.05)
+        alive = [p for p in alive if _pid_alive(p)]
+    return alive
 
-    Subclass contract: ``self.size`` (trial problem size),
-    ``self.ref_runner`` (a cold :class:`FlowRunner`), ``self._refs``
-    (the reference memo dict).
-    """
 
-    def reference(self, kernel: str, flow: str, target: str,
-                  size: int | None = None):
-        """Cold no-cache (cycles, value), computed outside any fault."""
-        size = self.size if size is None else size
-        key = (kernel, flow, target, size)
-        if key not in self._refs:
-            inst = get_kernel(kernel).instantiate(size)
-            r = self.ref_runner.run(inst, flow, target)
-            self._refs[key] = (r.cycles, r.value)
-        return self._refs[key]
+class _Soak:
+    """What every profile's soak shares: the response judge and
+    ``close()``.  Responses are judged in their canonical wire form
+    (:func:`repro.service.wire.response_payload`), whether they crossed
+    a socket or were served in-process."""
+
+    #: failing tag for an ``ok`` answer that diverges from the cold
+    #: reference: over the wire, the wire changed the answer.
+    diverged = "torn-response"
+
+    def close(self) -> None:
+        pass
+
+    def _payload(self, kernel: str, size: int | None = None,
+                 **over) -> dict:
+        """A wire compile request for ``kernel`` on a drawn (or
+        given) flow and target."""
+        return {
+            "op": "compile",
+            "kernel": kernel,
+            "flow": over.get("flow", self.rng.choice(_FLOWS)),
+            "target": over.get("target", self.rng.choice(_TARGETS)),
+            "size": self.size if size is None else size,
+        }
 
     def judge(self, layer: str, fault: str, req: dict,
               resp: dict) -> ChaosTrial:
-        """Classify a wire response payload against the invariant.
-
-        The gateway-grade twist on :meth:`_ServiceSoak.judge`: an ``ok``
-        result whose cycles/value diverge from the cold reference is a
-        **torn response** — the wire changed the answer."""
+        """Classify a response payload to ``req`` against the
+        invariant."""
         kernel = req.get("kernel", "?")
         error = resp.get("error")
         if error is not None and str(error).startswith("unclassified"):
@@ -915,14 +399,13 @@ class _WireJudge:
                 return ChaosTrial(layer, kernel, fault, "silent-wrong",
                                   "result served without checking")
             if status == "ok":
-                cycles, value = self.reference(
-                    kernel, resp["flow"], resp["target"],
-                    size=req.get("size"),
+                cycles, value = _reference(
+                    kernel, resp["flow"], resp["target"], req["size"]
                 )
                 if result["cycles"] != cycles or result["value"] != value:
                     return ChaosTrial(
-                        layer, kernel, fault, "torn-response",
-                        f"wire result {result['cycles']}/{result['value']} "
+                        layer, kernel, fault, self.diverged,
+                        f"result {result['cycles']}/{result['value']} "
                         f"diverged from cold reference {cycles}/{value}",
                     )
                 return ChaosTrial(layer, kernel, fault, "correct",
@@ -949,7 +432,399 @@ class _WireJudge:
                           f"unknown response status {status!r}")
 
 
-class _GatewaySoak(_WireJudge):
+class _LayerSoak(_Soak):
+    """The pipeline-stage profile: no live service, just the campaign
+    RNG (shared with the draw) and the encoded-bytecode memo."""
+
+    def __init__(self, rng, size: int, kernels, include_harness: bool,
+                 harness_timeout: float) -> None:
+        self.rng = rng
+        self.size = size
+        self.kernels = kernels
+        self.include_harness = include_harness
+        self.harness_timeout = harness_timeout
+        self.enc_cache: dict = {}
+
+    def harness(self, fault_cls, **kw) -> ChaosTrial | None:
+        """A real process-pool sweep with one faulty worker; skipped
+        unless the campaign opted in with ``include_harness``."""
+        if not self.include_harness:
+            return None
+        fault = fault_cls(kernel=self.rng.choice(self.kernels), **kw)
+        return _trial_harness(fault, self.kernels, self.size,
+                              self.harness_timeout)
+
+
+# -- the service soak profile -------------------------------------------------
+
+class _ServiceSoak(_Soak):
+    """State of one service soak campaign: a live service and per-trial
+    validators.  Requests and responses are wire dicts, exactly what a
+    gateway client sends and receives."""
+
+    diverged = "wrong-answer"
+
+    def __init__(self, seed: int, size: int, cache_dir: str,
+                 farm_workers: int = 0) -> None:
+        from ..service import KernelService
+
+        self.rng = random.Random(seed)
+        self.seed = seed
+        self.size = size
+        self.cache_dir = cache_dir
+        # backoff_base=0 keeps the soak fast and deterministic (no real
+        # sleeps); tight breaker knobs make open/half-open/closed cycles
+        # happen organically within a 200-fault campaign.  The tight
+        # farm budget keeps the stall-watchdog trials sub-second.
+        self.svc = KernelService(
+            cache_dir=cache_dir, seed=seed, retries=1,
+            backoff_base=0.0, breaker_threshold=2, breaker_cooldown=4,
+            queue_limit=16, workers=2,
+            farm_workers=farm_workers, farm_budget_s=0.4,
+        )
+        self._torn = 0
+
+    def close(self) -> None:
+        self.svc.close()
+
+    def _serve(self, req: dict, svc=None) -> dict:
+        """Serve the wire request ``req`` in-process on ``svc`` (default:
+        the soaked service); returns the response's canonical wire
+        dict."""
+        from ..service import ServiceRequest
+        from ..service.wire import response_payload
+
+        return response_payload((svc or self.svc).handle(ServiceRequest(
+            req["kernel"], req["flow"], req["target"], req["size"],
+            deadline_s=req.get("deadline_s"),
+        )))
+
+    # -- trial kinds ----------------------------------------------------------
+
+    def plain(self, kernel: str) -> ChaosTrial:
+        req = self._payload(kernel)
+        return self.judge("svc-plain", "none", req, self._serve(req))
+
+    def cache_corrupt(self, kernel: str) -> ChaosTrial:
+        """Flip one byte of every on-disk entry, then serve: corrupted
+        entries must be quarantined and recompiled, never served."""
+        import os
+
+        names = [
+            n for n in os.listdir(self.cache_dir) if n.endswith(".vbk")
+        ]
+        for name in names:
+            path = os.path.join(self.cache_dir, name)
+            with open(path, "rb") as f:
+                data = bytearray(f.read())
+            if not data:
+                continue
+            off = self.rng.randrange(len(data))
+            data[off] ^= 1 << self.rng.randrange(8)
+            with open(path, "wb") as f:
+                f.write(bytes(data))
+        before = self.svc.cache.quarantined
+        req = self._payload(kernel)
+        resp = self._serve(req)
+        if names and resp["from_cache"]:
+            return ChaosTrial(
+                "svc-cache-corrupt", kernel, "bitflip-all-entries",
+                "silent-wrong", "a corrupted cache entry was served",
+            )
+        trial = self.judge("svc-cache-corrupt", "bitflip-all-entries",
+                           req, resp)
+        if not trial.ok:
+            return trial
+        healed = self.svc.cache.quarantined > before
+        # Self-healing: the same request is now re-servable (recompiled,
+        # overwritten) with identical results.
+        resp2 = self._serve(req)
+        trial2 = self.judge("svc-cache-corrupt", "bitflip-all-entries",
+                            req, resp2)
+        if not trial2.ok:
+            return trial2
+        if (
+            resp["result"] is not None and resp2["result"] is not None
+            and resp2["result"]["value"] != resp["result"]["value"]
+        ):
+            return ChaosTrial(
+                "svc-cache-corrupt", kernel, "bitflip-all-entries",
+                "wrong-answer", "recompiled entry changed the answer",
+            )
+        return ChaosTrial(
+            "svc-cache-corrupt", kernel, "bitflip-all-entries",
+            "healed" if healed else trial.outcome,
+            f"quarantined {self.svc.cache.quarantined - before} entries",
+        )
+
+    def torn_write(self, kernel: str) -> ChaosTrial:
+        """Kill the (simulated) service mid-cache-write: no entry under
+        the final name, fresh services recompile."""
+        from ..service import KernelService
+
+        self._torn += 1
+        req = self._payload(kernel, flow="split_vec_gcc4cli", target="sse")
+        # Drop any existing entry so the request compiles and *puts* — the
+        # put is where the torn write fires.  (The cache key is a function
+        # of the bytecode, so a warm entry would otherwise absorb it.)
+        self.svc.evict(kernel, req["flow"], req["target"],
+                       size=req["size"])
+        fault = faults.CacheTornWrite()
+        before = self.svc.cache.put_failures
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge("svc-torn-write", repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        if self.svc.cache.put_failures <= before:
+            return ChaosTrial("svc-torn-write", kernel, repr(fault),
+                              "silent-wrong", "torn write did not fire")
+        # Crash-safety: a fresh service over the same directory must not
+        # find (let alone serve) the half-written entry.
+        fresh = KernelService(cache_dir=self.cache_dir, seed=self.seed)
+        try:
+            resp2 = self._serve(req, fresh)
+        finally:
+            fresh.close()
+        if resp2["from_cache"]:
+            return ChaosTrial(
+                "svc-torn-write", kernel, repr(fault), "silent-wrong",
+                "fresh service served a torn-write entry",
+            )
+        trial2 = self.judge("svc-torn-write", repr(fault), req, resp2)
+        if not trial2.ok:
+            return trial2
+        return ChaosTrial(
+            "svc-torn-write", kernel, repr(fault), "crash-safe",
+            "destination untouched; fresh service recompiled",
+        )
+
+    def jit(self, kernel: str, materialize: bool) -> ChaosTrial:
+        layer = "svc-jit-materialize" if materialize else "svc-jit-lowering"
+        fault = (
+            faults.MaterializeFault(target="*") if materialize
+            else faults.LoweringFault(idiom=self.rng.choice(_IDIOMS),
+                                      target="*")
+        )
+        req = self._payload(kernel)
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge(layer, repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        # Taint guard: the fault-degraded artifact must not have been
+        # persisted — a later clean request must not replay the fault.
+        resp2 = self._serve(self._payload(
+            kernel, flow=req["flow"], target=req["target"]
+        ))
+        if resp2["events"] and any(
+            e["cause"] == "fault-injected" for e in resp2["events"]
+        ):
+            return ChaosTrial(
+                layer, kernel, repr(fault), "silent-wrong",
+                "fault-degraded artifact leaked into the persistent cache",
+            )
+        return trial
+
+    def vm(self, kernel: str, persistent: bool) -> ChaosTrial:
+        layer = "svc-vm-persistent" if persistent else "svc-vm-transient"
+        fault = (
+            faults.MemFault(after=self.rng.randrange(1, 8), repeat=True)
+            if persistent
+            else faults.MemFault(after=self.rng.randrange(1, 80))
+        )
+        req = self._payload(kernel)
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        return self.judge(layer, repr(fault), req, resp)
+
+    def overload(self, kernel: str) -> ChaosTrial:
+        """Saturate admission, observe a classified shed, then recover."""
+        adm = self.svc.admission
+        slots = []
+        try:
+            while adm.depth < adm.limit:
+                slots.append(adm.admit())
+            req = self._payload(kernel)
+            resp = self._serve(req)
+        finally:
+            for s in slots:
+                s.__exit__(None, None, None)
+        if resp["status"] != "shed" or resp["error"] != "OverloadError":
+            return ChaosTrial(
+                "svc-overload", kernel, "admission-saturation",
+                "silent-wrong",
+                f"expected a classified shed, got "
+                f"{resp['status']}/{resp['error']}",
+            )
+        resp2 = self._serve(req)
+        trial2 = self.judge("svc-overload", "admission-saturation",
+                            req, resp2)
+        if not trial2.ok:
+            return trial2
+        return ChaosTrial("svc-overload", kernel, "admission-saturation",
+                          "shed", "shed while saturated, served after")
+
+    def deadline(self, kernel: str) -> ChaosTrial:
+        req = dict(self._payload(kernel), deadline_s=0.0)
+        resp = self._serve(req)
+        trial = self.judge("svc-deadline", "deadline_s=0", req, resp)
+        # An open breaker (left by an earlier persistent-fault trial) may
+        # short-circuit before the deadline is even consulted; both tags
+        # are classified and correct for their interleaving.
+        if trial.outcome == "trapped" and resp["error"] not in (
+            "DeadlineError", "CircuitOpenError"
+        ):
+            return ChaosTrial(
+                "svc-deadline", kernel, "deadline_s=0", "silent-wrong",
+                f"expected DeadlineError, got {resp['error']}",
+            )
+        return trial
+
+    # -- compile-farm trials (farm_workers > 0 campaigns only) ----------------
+
+    def farm_crash(self, kernel: str) -> ChaosTrial:
+        """A farm worker dies mid-compile: the pool is rebuilt, the job
+        rerouted inline, the response classified and correct, and the
+        cache entry written afterwards is whole (served next request)."""
+        req = self._payload(kernel, flow="split_vec_gcc4cli")
+        self.svc.evict(kernel, req["flow"], req["target"],
+                       size=req["size"])
+        fault = faults.WorkerCrash(kernel=kernel)
+        before = self.svc._farm.crashes
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge("svc-farm-crash", repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        if self.svc._farm.crashes <= before:
+            return ChaosTrial("svc-farm-crash", kernel, repr(fault),
+                              "silent-wrong", "worker crash did not fire")
+        # No torn entry: the rerouted compile's cache entry must verify
+        # and serve (a crash must never poison what the leader persists).
+        resp2 = self._serve(req)
+        trial2 = self.judge("svc-farm-crash", repr(fault), req, resp2)
+        if not trial2.ok:
+            return trial2
+        return ChaosTrial("svc-farm-crash", kernel, repr(fault),
+                          "rerouted", "pool rebuilt; compiled inline")
+
+    def farm_stall(self, kernel: str) -> ChaosTrial:
+        """A wedged farm worker outlives the compile budget: the
+        watchdog kills the pool and the leader reroutes inline."""
+        req = self._payload(kernel, flow="split_vec_gcc4cli")
+        self.svc.evict(kernel, req["flow"], req["target"],
+                       size=req["size"])
+        fault = faults.WorkerStall(kernel=kernel, seconds=30.0)
+        before = self.svc._farm.stalls
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge("svc-farm-stall", repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        if self.svc._farm.stalls <= before:
+            return ChaosTrial("svc-farm-stall", kernel, repr(fault),
+                              "silent-wrong",
+                              "stall watchdog did not fire")
+        return ChaosTrial("svc-farm-stall", kernel, repr(fault),
+                          "rerouted", "budget watchdog killed the worker; "
+                          "compiled inline")
+
+    def stale_marker(self, kernel: str) -> ChaosTrial:
+        """A dead replica's aged leader marker sits next to the entry at
+        claim time: this service must take leadership over (TTL expiry),
+        compile, and serve — never wait forever on a corpse."""
+        req = self._payload(kernel, flow="split_vec_gcc4cli")
+        self.svc.evict(kernel, req["flow"], req["target"],
+                       size=req["size"])
+        fault = faults.StaleMarker()
+        before = self.svc.cache.marker_takeovers
+        with faults.injected(faults.FaultPlan([fault])):
+            resp = self._serve(req)
+        trial = self.judge("svc-stale-marker", repr(fault), req, resp)
+        if not trial.ok:
+            return trial
+        if self.svc.cache.marker_takeovers <= before:
+            return ChaosTrial("svc-stale-marker", kernel, repr(fault),
+                              "silent-wrong",
+                              "marker takeover did not fire")
+        return ChaosTrial("svc-stale-marker", kernel, repr(fault),
+                          "marker-takeover",
+                          "aged marker reclaimed; compiled locally")
+
+    # -- scripted epilogue trials ---------------------------------------------
+
+    def breaker_cycle(self) -> ChaosTrial:
+        """Deterministic closed -> open -> half-open -> closed cycle."""
+        from ..service import KernelService
+
+        s2 = KernelService(
+            cache_dir=None, retries=0, backoff_base=0.0,
+            breaker_threshold=2, breaker_cooldown=3,
+        )
+        try:
+            req = self._payload("saxpy_fp", flow="split_vec_gcc4cli",
+                                target="neon")
+            plan = faults.FaultPlan([faults.MemFault(after=1, repeat=True)])
+            states = []
+            with faults.injected(plan):
+                for _ in range(2):          # threshold failures -> open
+                    self._serve(req, s2)
+                states.append(s2._breakers["neon"].state)
+                for _ in range(2):          # cooldown - 1 short-circuits
+                    self._serve(req, s2)
+                states.append(s2._breakers["neon"].state)
+            # The request that crosses the cooldown IS the probe (the
+            # breaker no longer burns one extra denied request arming
+            # it); the fault has cleared, so it succeeds and closes.
+            probe = self._serve(req, s2)
+            states.append(s2._breakers["neon"].state)
+            ok = (
+                states == ["open", "open", "closed"]
+                and probe["result"] is not None
+            )
+            return ChaosTrial(
+                "svc-breaker", "saxpy_fp", "MemFault(repeat)",
+                "breaker-cycled" if ok else "silent-wrong",
+                f"states={states}",
+            )
+        finally:
+            s2.close()
+
+    def stale_serve(self) -> ChaosTrial:
+        """A known-good result survives a total runtime outage."""
+        from ..service import KernelService
+
+        s3 = KernelService(cache_dir=None, retries=0, backoff_base=0.0)
+        try:
+            req = self._payload("dscal_fp", flow="split_vec_gcc4cli",
+                                target="sse")
+            good = self._serve(req, s3)
+            plan = faults.FaultPlan([faults.MemFault(after=1, repeat=True)])
+            with faults.injected(plan):
+                resp = self._serve(req, s3)
+            ok = (
+                good["status"] == "ok"
+                and resp["status"] == "stale"
+                and resp["result"] is not None
+                and resp["result"]["value"] == good["result"]["value"]
+                and resp["result"]["cycles"] == good["result"]["cycles"]
+                and any(e["cause"] == "stale-cache" for e in resp["events"])
+            )
+            return ChaosTrial(
+                "svc-stale", "dscal_fp", "MemFault(repeat)",
+                "served-stale" if ok else "silent-wrong",
+                f"status={resp['status']}, events="
+                f"{[e['cause'] for e in resp['events']]}",
+            )
+        finally:
+            s3.close()
+
+
+# -- the gateway soak profile -------------------------------------------------
+
+
+class _GatewaySoak(_Soak):
     """State of one gateway soak: a live farm-backed service behind a
     live :class:`~repro.service.gateway.ThreadedGateway`, one resilient
     client, one no-retry client, and raw-socket hostile peers."""
@@ -985,25 +860,13 @@ class _GatewaySoak(_WireJudge):
             seed=seed,
         )
         self.fast = GatewayClient([self.addr], retries=0, seed=seed + 1)
-        self.ref_runner = FlowRunner()
-        self._refs: dict = {}
+        self.final_stats: dict | None = None
 
     def close(self) -> None:
         self.client.close()
         self.fast.close()
         self.gw.close()
         self.svc.close()
-
-    # -- shared plumbing -------------------------------------------------------
-
-    def _payload(self, kernel: str, **over) -> dict:
-        return {
-            "op": "compile",
-            "kernel": kernel,
-            "flow": over.get("flow", self.rng.choice(_FLOWS)),
-            "target": over.get("target", self.rng.choice(_TARGETS)),
-            "size": self.size,
-        }
 
     # -- raw-socket hostile peer ----------------------------------------------
 
@@ -1491,14 +1354,15 @@ class _GatewaySoak(_WireJudge):
         )
 
     def leaked_workers_trial(self) -> ChaosTrial:
-        """Close the whole stack; every farm worker PID must be dead."""
+        """Close the whole stack; every farm worker PID must be dead.
+        The stack's last stats are snapshotted first, for the report."""
         pids = self.svc.farm_worker_pids()
+        self.final_stats = {
+            "service": self.svc.stats(),
+            "gateway": self.gw.stats(),
+        }
         self.close()
-        deadline = time.perf_counter() + 10.0
-        alive = [p for p in pids if _pid_alive(p)]
-        while alive and time.perf_counter() < deadline:
-            time.sleep(0.05)
-            alive = [p for p in pids if _pid_alive(p)]
+        alive = _wait_dead(pids, 10.0)
         if alive:
             return ChaosTrial("gw-shutdown", "*", "stack close",
                               "leaked-workers",
@@ -1507,77 +1371,7 @@ class _GatewaySoak(_WireJudge):
                           f"all {len(pids)} farm workers dead after close")
 
 
-def run_gateway_campaign(
-    n_faults: int = 200,
-    seed: int = 0,
-    kernels=_DEFAULT_KERNELS,
-    size: int = 16,
-    cache_dir: str | None = None,
-    farm_workers: int = 2,
-) -> ChaosReport:
-    """Soak a live gateway-fronted service with ``n_faults`` seeded
-    wire-and-service faults; returns the outcome census with gateway and
-    service stats attached.
-
-    The fault stream is deterministic in ``seed``; trial outcomes are
-    wall-clock tolerant (a deadline that is rarely met in time is still
-    a passing, classified outcome).  Ends with two scripted epilogues:
-    the graceful-drain trial and the leaked-workers audit — the
-    invariant of ISSUE 7: zero torn responses, zero unclassified errors,
-    zero leaked farm workers.
-    """
-    import shutil
-    import tempfile
-
-    rng = random.Random(seed)
-    kernels = tuple(kernels)
-    own_dir = cache_dir is None
-    root = cache_dir or tempfile.mkdtemp(prefix="repro-gw-chaos-")
-    soak = _GatewaySoak(seed, size, root, farm_workers=int(farm_workers))
-    report = ChaosReport(seed=seed)
-    try:
-        for _ in range(int(n_faults)):
-            layer = rng.choices(GATEWAY_LAYERS,
-                                weights=_GATEWAY_WEIGHTS)[0]
-            kernel = rng.choice(kernels)
-            if layer == "gw-plain":
-                t = soak.plain(kernel)
-            elif layer == "gw-garbage":
-                t = soak.garbage(kernel)
-            elif layer == "gw-truncated":
-                t = soak.truncated(kernel)
-            elif layer == "gw-slowloris":
-                t = soak.slowloris(kernel)
-            elif layer == "gw-conn-drop":
-                t = soak.conn_drop(kernel)
-            elif layer == "gw-overload":
-                t = soak.overload(kernel)
-            elif layer == "gw-deadline":
-                t = soak.deadline(kernel)
-            elif layer == "gw-batch":
-                t = soak.batch_storm(kernel)
-            else:
-                t = soak.jit_fault(kernel)
-            report.trials.append(t)
-        report.service_stats = {
-            "service": soak.svc.stats(),
-            "gateway": soak.gw.stats(),
-        }
-        report.trials.append(soak.drain_trial())
-        report.trials.append(soak.leaked_workers_trial())
-    finally:
-        soak.close()
-        if own_dir:
-            shutil.rmtree(root, ignore_errors=True)
-    return report
-
-
-FLEET_LAYERS = ("fl-plain", "fl-warm-identity", "fl-kill-compile",
-                "fl-kill-write", "fl-kill-lead", "fl-kill-wire")
-_FLEET_WEIGHTS = (25, 15, 18, 12, 15, 15)
-
-
-class _FleetSoak(_WireJudge):
+class _FleetSoak(_Soak):
     """State of one fleet soak: a live :class:`FleetSupervisor` over N
     real ``serve --listen`` child processes sharing one cache directory,
     one sharded failover client, and the SIGKILL chaos driver.
@@ -1625,8 +1419,6 @@ class _FleetSoak(_WireJudge):
             retries=8, backoff_base=0.02, backoff_cap=0.4,
             dead_cooldown_s=0.25, seed=seed,
         )
-        self.ref_runner = FlowRunner()
-        self._refs: dict = {}
         # Odd sizes, strictly increasing: every cold shape is a CacheKey
         # the fleet has never seen (warm trials use ``size`` itself).
         self._cold_size = size + (1 if size % 2 == 0 else 2)
@@ -1637,16 +1429,19 @@ class _FleetSoak(_WireJudge):
         self.client.close()
         self.sup.stop()
 
-    # -- plumbing --------------------------------------------------------------
-
-    def _payload(self, kernel: str, size: int | None = None) -> dict:
+    def stats(self) -> dict:
         return {
-            "op": "compile",
-            "kernel": kernel,
-            "flow": self.rng.choice(_FLOWS),
-            "target": self.rng.choice(_TARGETS),
-            "size": self.size if size is None else size,
+            "fleet": self.sup.stats(),
+            "ready": self.sup.ready(),
+            "kills": self.kills,
+            "client": {
+                "attempts": self.client.attempts,
+                "failovers": self.client.failovers,
+                "wire_errors": self.client.wire_errors,
+            },
         }
+
+    # -- plumbing --------------------------------------------------------------
 
     def _cold_payload(self, kernel: str) -> dict:
         size = self._cold_size
@@ -2010,11 +1805,7 @@ class _FleetSoak(_WireJudge):
         workers — must actually be gone (the farm's parent-death
         watchdog is what makes the workers true orphan-proof)."""
         layer, fault = "fl-leak-audit", f"{self.kills} kills"
-        deadline = time.perf_counter() + 20.0
-        alive = [p for p in set(self.dead_pids) if _pid_alive(p)]
-        while alive and time.perf_counter() < deadline:
-            time.sleep(0.05)
-            alive = [p for p in set(self.dead_pids) if _pid_alive(p)]
+        alive = _wait_dead(set(self.dead_pids), 20.0)
         if alive:
             return ChaosTrial(layer, "*", fault, "leaked-workers",
                               f"pids {alive} survived their replica's "
@@ -2043,54 +1834,195 @@ class _FleetSoak(_WireJudge):
                           f"up after {self.kills} kills")
 
 
-def run_fleet_campaign(
+# -- the campaign table and its one driver ------------------------------------
+
+#: ``(layer, weight, trial)`` entries, ``trial(soak, kernel)``; the
+#: weights are the layer's share of the seeded draw.
+_LAYER_TRIALS = (
+    ("bytecode", 40,
+     lambda s, k: _trial_bytecode(k, s.size, s.rng, s.enc_cache)),
+    ("jit-lowering", 20,
+     lambda s, k: _trial_jit(k, s.size, s.rng, materialize=False)),
+    ("jit-materialize", 5,
+     lambda s, k: _trial_jit(k, s.size, s.rng, materialize=True)),
+    ("vm-mem", 20, lambda s, k: _trial_vm_mem(k, s.size, s.rng)),
+    ("vm-misalign", 15, lambda s, k: _trial_vm_misalign(k, s.size, s.rng)),
+)
+_SERVICE_TRIALS = (
+    ("svc-plain", 20, lambda s, k: s.plain(k)),
+    ("svc-cache-corrupt", 18, lambda s, k: s.cache_corrupt(k)),
+    ("svc-torn-write", 8, lambda s, k: s.torn_write(k)),
+    ("svc-jit-lowering", 12, lambda s, k: s.jit(k, materialize=False)),
+    ("svc-jit-materialize", 8, lambda s, k: s.jit(k, materialize=True)),
+    ("svc-vm-transient", 12, lambda s, k: s.vm(k, persistent=False)),
+    ("svc-vm-persistent", 12, lambda s, k: s.vm(k, persistent=True)),
+    ("svc-overload", 5, lambda s, k: s.overload(k)),
+    ("svc-deadline", 5, lambda s, k: s.deadline(k)),
+)
+#: extra layers mixed in when the service soak runs with a compile farm
+#: (``farm_workers > 0``); kept separate so the default campaign's
+#: seeded fault stream — and every pinned-seed determinism test — is
+#: unchanged by the farm's existence.
+_FARM_TRIALS = (
+    ("svc-farm-crash", 6, lambda s, k: s.farm_crash(k)),
+    ("svc-farm-stall", 4, lambda s, k: s.farm_stall(k)),
+    ("svc-stale-marker", 5, lambda s, k: s.stale_marker(k)),
+)
+_GATEWAY_TRIALS = (
+    ("gw-plain", 30, lambda s, k: s.plain(k)),
+    ("gw-garbage", 10, lambda s, k: s.garbage(k)),
+    ("gw-truncated", 10, lambda s, k: s.truncated(k)),
+    ("gw-slowloris", 8, lambda s, k: s.slowloris(k)),
+    ("gw-conn-drop", 12, lambda s, k: s.conn_drop(k)),
+    ("gw-overload", 8, lambda s, k: s.overload(k)),
+    ("gw-deadline", 10, lambda s, k: s.deadline(k)),
+    ("gw-jit-fault", 12, lambda s, k: s.jit_fault(k)),
+    ("gw-batch", 12, lambda s, k: s.batch_storm(k)),
+)
+_FLEET_TRIALS = (
+    ("fl-plain", 25, lambda s, k: s.plain(k)),
+    ("fl-warm-identity", 15, lambda s, k: s.warm_identity(k)),
+    ("fl-kill-compile", 18, lambda s, k: s.kill_compile()),
+    ("fl-kill-write", 12, lambda s, k: s.kill_write()),
+    ("fl-kill-lead", 15, lambda s, k: s.kill_lead()),
+    ("fl-kill-wire", 15, lambda s, k: s.kill_wire()),
+)
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """One row of the campaign table."""
+
+    #: ``soak(opts)`` builds the profile's state from the resolved
+    #: campaign options (``rng``, ``seed``, ``size``, ``root``, ...).
+    soak: Callable
+    #: the ``(layer, weight, trial)`` entries of the seeded draw.
+    layers: tuple
+    #: scripted ``epilogue(soak)`` trials that always run after the draw
+    #: (an epilogue returning None is skipped).
+    epilogues: tuple = ()
+    #: ``stats(soak)``, attached to the report as ``service_stats``.
+    stats: Callable = lambda soak: None
+    #: the ``farm_workers`` a campaign gets when it passes None.
+    farm_workers: int = 0
+    #: entries appended to the draw only when ``farm_workers > 0``.
+    farm_layers: tuple = ()
+
+
+_PROFILES = {
+    # Pipeline stages, single-process; the trials share the draw's RNG.
+    "layers": _Profile(
+        soak=lambda o: _LayerSoak(o.rng, o.size, o.kernels,
+                                  o.include_harness, o.harness_timeout),
+        layers=_LAYER_TRIALS,
+        epilogues=(
+            lambda s: s.harness(faults.WorkerCrash),
+            lambda s: s.harness(faults.WorkerStall, seconds=3600.0),
+        ),
+    ),
+    # A live KernelService; deterministic in seed (service jitter is
+    # seeded and backoff sleeps are disabled).
+    "service": _Profile(
+        soak=lambda o: _ServiceSoak(o.seed, o.size, o.root,
+                                    farm_workers=o.farm_workers),
+        layers=_SERVICE_TRIALS,
+        farm_layers=_FARM_TRIALS,
+        epilogues=(lambda s: s.breaker_cycle(), lambda s: s.stale_serve()),
+        stats=lambda s: s.svc.stats(),
+    ),
+    # A live gateway over a farm-backed service.  Trial outcomes are
+    # wall-clock tolerant (a deadline rarely met in time is still a
+    # passing, classified outcome); the epilogues are the graceful
+    # drain and the leaked-workers audit.
+    "gateway": _Profile(
+        soak=lambda o: _GatewaySoak(o.seed, o.size, o.root,
+                                    farm_workers=o.farm_workers),
+        layers=_GATEWAY_TRIALS,
+        epilogues=(lambda s: s.drain_trial(),
+                   lambda s: s.leaked_workers_trial()),
+        stats=lambda s: s.final_stats,
+        farm_workers=2,
+    ),
+    # A supervised N-replica fleet sharing one cache directory, with
+    # SIGKILLs of the shard owner; the epilogues are the flap->park
+    # trial, the shared-cache audit, the killed-pid leak audit and the
+    # full-capacity readiness check.
+    "fleet": _Profile(
+        soak=lambda o: _FleetSoak(o.seed, o.size, o.root,
+                                  replicas=o.replicas,
+                                  farm_workers=o.farm_workers),
+        layers=_FLEET_TRIALS,
+        epilogues=(
+            lambda s: s.park_trial(),
+            lambda s: s.cache_audit_trial(),
+            lambda s: s.farm_leak_trial(),
+            lambda s: s.final_ready_trial(),
+        ),
+        stats=lambda s: s.stats(),
+        farm_workers=1,
+    ),
+}
+
+LAYERS = tuple(name for name, _w, _t in _LAYER_TRIALS)
+SERVICE_LAYERS = tuple(name for name, _w, _t in _SERVICE_TRIALS)
+FARM_LAYERS = tuple(name for name, _w, _t in _FARM_TRIALS)
+GATEWAY_LAYERS = tuple(name for name, _w, _t in _GATEWAY_TRIALS)
+FLEET_LAYERS = tuple(name for name, _w, _t in _FLEET_TRIALS)
+
+
+def run_campaign(
+    profile: str = "layers",
     n_faults: int = 200,
     seed: int = 0,
+    *,
     kernels=_DEFAULT_KERNELS,
     size: int = 16,
     cache_dir: str | None = None,
+    farm_workers: int | None = None,
     replicas: int = 3,
-    farm_workers: int = 1,
+    include_harness: bool = False,
+    harness_timeout: float = 10.0,
 ) -> ChaosReport:
-    """SIGKILL crash-consistency campaign over a supervised replica
-    fleet (ISSUE 8's invariant).
+    """Inject ``n_faults`` seeded faults through ``profile``'s soak and
+    return the outcome census, with the profile's stats attached.
 
-    ``n_faults`` seeded trials against a live N-replica fleet sharing
-    one cache directory — plain sharded traffic, cross-replica warm
-    byte-identity probes, and SIGKILLs of the shard-owner replica
-    mid-cold-compile, mid-cache-write, while holding a ``.lead``
-    marker, and mid-frame under a pinned client — followed by four
-    scripted epilogues: the flap->park trial, the shared-cache audit
-    (every envelope verifies, quarantine empty, zero stale leads), the
-    killed-pid leak audit, and the full-capacity readiness check.
+    Each draw picks a layer by weight, then a kernel, from
+    ``Random(seed)``, so the fault stream is deterministic in ``seed``.
+    The profile's scripted epilogues run after the draw.  A trial that
+    raises is censused as a failing ``unclassified-trap`` trial instead
+    of losing the report.
+
+    ``farm_workers=None`` takes the profile's default (0, or 2 for
+    ``gateway`` and 1 for ``fleet``); with ``farm_workers > 0`` the
+    service profile mixes :data:`FARM_LAYERS` into the draw.
+    ``replicas`` sizes the fleet.  ``include_harness`` adds two
+    process-pool sweeps (a worker crash and a worker stall) to the
+    ``layers`` profile on top of ``n_faults``.  ``cache_dir`` defaults
+    to a temporary directory removed afterwards.
     """
-    import shutil
-    import tempfile
-
+    row = _PROFILES[profile]
     rng = random.Random(seed)
     kernels = tuple(kernels)
+    if farm_workers is None:
+        farm_workers = row.farm_workers
+    entries = row.layers + (row.farm_layers if farm_workers > 0 else ())
+    names = [name for name, _w, _t in entries]
+    weights = [w for _n, w, _t in entries]
+    trials = {name: trial for name, _w, trial in entries}
     own_dir = cache_dir is None
-    root = cache_dir or tempfile.mkdtemp(prefix="repro-fleet-chaos-")
-    soak = _FleetSoak(seed, size, root, replicas=int(replicas),
-                      farm_workers=int(farm_workers))
+    root = cache_dir or tempfile.mkdtemp(prefix=f"repro-chaos-{profile}-")
+    soak = row.soak(SimpleNamespace(
+        rng=rng, seed=seed, size=size, root=root, kernels=kernels,
+        farm_workers=int(farm_workers), replicas=int(replicas),
+        include_harness=include_harness, harness_timeout=harness_timeout,
+    ))
     report = ChaosReport(seed=seed)
     try:
         for _ in range(int(n_faults)):
-            layer = rng.choices(FLEET_LAYERS, weights=_FLEET_WEIGHTS)[0]
+            layer = rng.choices(names, weights=weights)[0]
             kernel = rng.choice(kernels)
             try:
-                if layer == "fl-plain":
-                    t = soak.plain(kernel)
-                elif layer == "fl-warm-identity":
-                    t = soak.warm_identity(kernel)
-                elif layer == "fl-kill-compile":
-                    t = soak.kill_compile()
-                elif layer == "fl-kill-write":
-                    t = soak.kill_write()
-                elif layer == "fl-kill-lead":
-                    t = soak.kill_lead()
-                else:
-                    t = soak.kill_wire()
+                t = trials[layer](soak, kernel)
             except Exception as exc:  # noqa: BLE001 - census integrity:
                 # a trial that dies is a failing outcome, never a
                 # campaign crash that loses the whole report.
@@ -2098,20 +2030,11 @@ def run_fleet_campaign(
                                "unclassified-trap",
                                f"{type(exc).__name__}: {exc}")
             report.trials.append(t)
-        report.trials.append(soak.park_trial())
-        report.trials.append(soak.cache_audit_trial())
-        report.trials.append(soak.farm_leak_trial())
-        report.trials.append(soak.final_ready_trial())
-        report.service_stats = {
-            "fleet": soak.sup.stats(),
-            "ready": soak.sup.ready(),
-            "kills": soak.kills,
-            "client": {
-                "attempts": soak.client.attempts,
-                "failovers": soak.client.failovers,
-                "wire_errors": soak.client.wire_errors,
-            },
-        }
+        for epilogue in row.epilogues:
+            t = epilogue(soak)
+            if t is not None:
+                report.trials.append(t)
+        report.service_stats = row.stats(soak)
     finally:
         soak.close()
         if own_dir:

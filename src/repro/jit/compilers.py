@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 from .. import obs
-from .._compat import warn_once
 from ..ir import Function, clone_function
 from ..machine import (
     FlattenOptions,
@@ -122,15 +121,14 @@ class _BaseCompiler:
         )
 
     def compile(
-        self, fn: Function, target: Target | str, *args,
+        self, fn: Function, target: Target | str, *,
         force_scalar: bool = False,
     ) -> CompiledKernel:
         """Compile IR (scalar or vectorized bytecode) to machine code.
 
         ``target`` accepts a :class:`Target` or its canonical name (the
         one-coercion-everywhere API convention); ``force_scalar`` is
-        keyword-only (passing it positionally is deprecated and warns
-        once).
+        keyword-only.
 
         Fail-soft: a whole-function :class:`MaterializeError` on the first
         (vector) attempt triggers one retry with every loop group forced
@@ -142,18 +140,6 @@ class _BaseCompiler:
         degradation cascade of :class:`repro.service.KernelService` uses
         this as its always-lowerable fallback compilation.
         """
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"compile() takes at most 3 positional arguments "
-                    f"({2 + len(args)} given)"
-                )
-            warn_once(
-                "compile(fn, target, force_scalar) with positional "
-                "force_scalar",
-                "the keyword form compile(fn, target, force_scalar=...)",
-            )
-            force_scalar = bool(args[0])
         if isinstance(target, str):
             target = get_target(target)
         start = time.perf_counter()

@@ -52,7 +52,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .. import faults, obs
-from .._compat import warn_once
 from ..api import execute_phase
 from ..errors import classify
 from ..harness.flows import FLOWS, FlowResult, FlowRunner
@@ -204,8 +203,7 @@ class KernelService:
         responses = [f.result() for f in futures]
 
     All configuration knobs are keyword-only constructor arguments;
-    ``seed`` makes retry jitter deterministic for seeded campaigns
-    (``rng_seed`` is the deprecated spelling and warns once).  The
+    ``seed`` makes retry jitter deterministic for seeded campaigns.  The
     service is a context manager (``close()`` drains the worker pool).
 
     Every request is traced as one ``service.request`` span (phase
@@ -235,12 +233,7 @@ class KernelService:
         engine: str = "threaded",
         check: bool = True,
         seed: int = 0,
-        rng_seed: int | None = None,
     ) -> None:
-        if rng_seed is not None:
-            warn_once("KernelService(rng_seed=...)",
-                      "KernelService(seed=...)")
-            seed = rng_seed
         self.runner = FlowRunner(engine=engine, check=check)
         self.cache = (
             KernelCache(cache_dir, cache_budget)

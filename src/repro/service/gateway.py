@@ -490,19 +490,7 @@ class GatewayServer:
             return self._reject_payload(
                 payload, "rejected", "bad-request", "bad-request", str(exc)
             )
-        self._inflight += 1
-        self._peak_inflight = max(self._peak_inflight, self._inflight)
-        self._idle.clear()
-        obs.gauge("gateway.inflight", self._inflight)
-        try:
-            resp = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._handle_traced, request, deadline_s
-            )
-        finally:
-            self._inflight -= 1
-            obs.gauge("gateway.inflight", self._inflight)
-            if self._inflight == 0:
-                self._idle.set()
+        resp = await self._serve_counted(request, deadline_s)
         self._bump("served")
         obs.observe(
             "gateway.request_seconds", time.perf_counter() - started,
@@ -639,20 +627,7 @@ class GatewayServer:
             request = replace(
                 group.request, deadline_s=group_deadline, batch_size=n
             )
-            self._inflight += 1
-            self._peak_inflight = max(self._peak_inflight, self._inflight)
-            self._idle.clear()
-            obs.gauge("gateway.inflight", self._inflight)
-            try:
-                resp = await loop.run_in_executor(
-                    self._executor, self._handle_traced, request,
-                    group_deadline, n,
-                )
-            finally:
-                self._inflight -= 1
-                obs.gauge("gateway.inflight", self._inflight)
-                if self._inflight == 0:
-                    self._idle.set()
+            resp = await self._serve_counted(request, group_deadline, n)
             data = dict(response_payload(resp))
             data["batched"] = n
             group.future.set_result(("served", data))
@@ -676,6 +651,25 @@ class GatewayServer:
                     asyncio.gather(*futures, return_exceptions=True),
                     timeout=timeout,
                 )
+
+    async def _serve_counted(self, request: ServiceRequest, deadline_s,
+                             batch_size: int = 1):
+        """Hand one service call to the handler pool, counted in the
+        inflight gauge (and the drain's idle event) until it returns."""
+        self._inflight += 1
+        self._peak_inflight = max(self._peak_inflight, self._inflight)
+        self._idle.clear()
+        obs.gauge("gateway.inflight", self._inflight)
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._handle_traced, request, deadline_s,
+                batch_size,
+            )
+        finally:
+            self._inflight -= 1
+            obs.gauge("gateway.inflight", self._inflight)
+            if self._inflight == 0:
+                self._idle.set()
 
     def _handle_traced(self, request: ServiceRequest, deadline_s,
                        batch_size: int = 1):

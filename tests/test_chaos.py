@@ -89,9 +89,7 @@ def test_report_summary_mentions_invariant():
 def service_campaign():
     """One service-profile soak shared by the assertions below (the CI
     job runs the full 200-fault version; this keeps tier-1 quick)."""
-    from repro.harness.chaos import run_service_campaign
-
-    return run_service_campaign(n_faults=60, seed=2026)
+    return run_campaign("service", n_faults=60, seed=2026)
 
 
 def test_service_campaign_invariant_holds(service_campaign):
@@ -124,10 +122,8 @@ def test_service_campaign_reports_service_stats(service_campaign):
 
 
 def test_service_campaign_deterministic_in_seed():
-    from repro.harness.chaos import run_service_campaign
-
-    a = run_service_campaign(n_faults=15, seed=11)
-    b = run_service_campaign(n_faults=15, seed=11)
+    a = run_campaign("service", n_faults=15, seed=11)
+    b = run_campaign("service", n_faults=15, seed=11)
     assert [
         (t.layer, t.kernel, t.fault, t.outcome) for t in a.trials
     ] == [
@@ -140,9 +136,9 @@ def test_service_campaign_with_farm_faults():
     worker crash mid-compile (rerouted, no torn entry), worker stall
     (reclaimed by the compile budget), and stale leader markers (taken
     over) — the invariant must hold through all of them."""
-    from repro.harness.chaos import FARM_LAYERS, run_service_campaign
+    from repro.harness.chaos import FARM_LAYERS
 
-    rep = run_service_campaign(n_faults=40, seed=5, farm_workers=2)
+    rep = run_campaign("service", n_faults=40, seed=5, farm_workers=2)
     assert rep.ok, rep.summary()
     hit = {t.layer for t in rep.trials}
     assert set(FARM_LAYERS) <= hit
@@ -156,15 +152,56 @@ def test_service_campaign_farm_stream_extends_default_stream():
     """The farm layers join the draw without disturbing the pinned-seed
     default stream: a farm-less campaign at the same seed is unchanged
     (bit-for-bit) by the farm feature existing."""
-    from repro.harness.chaos import run_service_campaign
-
-    a = run_service_campaign(n_faults=15, seed=11)
-    b = run_service_campaign(n_faults=15, seed=11, farm_workers=0)
+    a = run_campaign("service", n_faults=15, seed=11)
+    b = run_campaign("service", n_faults=15, seed=11, farm_workers=0)
     assert [
         (t.layer, t.kernel, t.fault, t.outcome) for t in a.trials
     ] == [
         (t.layer, t.kernel, t.fault, t.outcome) for t in b.trials
     ]
+
+
+def test_gateway_campaign_honours_explicit_zero_farm_workers():
+    """``farm_workers=0`` is a choice, not "use the default": it must
+    reach the gateway soak, whose service then runs without a farm."""
+    rep = run_campaign("gateway", n_faults=3, seed=2026, farm_workers=0)
+    assert rep.ok, rep.summary()
+    assert rep.service_stats["service"]["farm"] is None
+    reaped = [t for t in rep.trials if t.outcome == "farm-reaped"]
+    assert len(reaped) == 1
+    assert "all 0 farm workers" in reaped[0].detail
+
+
+def _crash_first_call(real):
+    calls = []
+
+    def trial(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("trial body crashed")
+        return real(*args, **kwargs)
+
+    return trial
+
+
+@pytest.mark.parametrize("profile", ["layers", "service"])
+def test_crashing_trial_is_censused_not_lost(monkeypatch, profile):
+    """Census integrity: a trial that raises becomes one failing
+    ``unclassified-trap`` trial and the campaign still reports."""
+    from repro.harness import chaos
+
+    # seed 1 draws bytecode first in ``layers`` and svc-plain first in
+    # ``service``
+    monkeypatch.setattr(chaos, "_trial_bytecode",
+                        _crash_first_call(chaos._trial_bytecode))
+    monkeypatch.setattr(chaos._ServiceSoak, "plain",
+                        _crash_first_call(chaos._ServiceSoak.plain))
+    rep = run_campaign(profile, n_faults=3, seed=1)
+    crashed = [t for t in rep.trials if t.outcome == "unclassified-trap"]
+    assert len(crashed) == 1, rep.summary()
+    assert crashed[0].fault == "trial-crashed"
+    assert "RuntimeError: trial body crashed" in crashed[0].detail
+    assert not rep.ok
 
 
 @pytest.mark.slow

@@ -524,10 +524,10 @@ def fleet_campaign():
     """One quick fleet soak shared by the assertions below (the CI
     fleet-soak job runs the full 200-fault campaigns at both pinned
     seeds; this keeps tier-1 honest without the full bill)."""
-    from repro.harness.chaos import run_fleet_campaign
+    from repro.harness.chaos import run_campaign
 
-    return run_fleet_campaign(n_faults=12, seed=2026, replicas=3,
-                              farm_workers=1)
+    return run_campaign("fleet", n_faults=12, seed=2026, replicas=3,
+                        farm_workers=1)
 
 
 def test_fleet_campaign_invariant_holds(fleet_campaign):

@@ -682,3 +682,33 @@ def test_sigterm_drains_gateway_and_reaps_farm(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.communicate(timeout=10)
+
+
+# -- quick gateway chaos gate -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gateway_campaign():
+    """One quick gateway soak shared by the assertions below (the CI
+    gateway-soak job runs the full 200-fault campaigns at both pinned
+    seeds; this keeps tier-1 honest without the full bill)."""
+    from repro.harness.chaos import run_campaign
+
+    return run_campaign("gateway", n_faults=12, seed=2026)
+
+
+def test_gateway_campaign_invariant_holds(gateway_campaign):
+    assert gateway_campaign.ok, gateway_campaign.summary()
+
+
+def test_gateway_campaign_ran_its_epilogues(gateway_campaign):
+    """The graceful drain and the leaked-workers audit always run."""
+    outcomes = {t.outcome for t in gateway_campaign.trials}
+    assert "drained-clean" in outcomes
+    assert "farm-reaped" in outcomes
+
+
+def test_gateway_campaign_reports_stats(gateway_campaign):
+    stats = gateway_campaign.service_stats
+    assert "service" in stats
+    assert "gateway" in stats
