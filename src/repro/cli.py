@@ -341,7 +341,6 @@ def _serve_listen(args, svc) -> int:
     host, port = parse_address(args.listen)
     gw = GatewayServer(
         svc, host, port,
-        max_inflight=args.max_inflight,
         idle_timeout_s=args.idle_timeout,
         drain_grace_s=args.drain_grace,
         drain_budget_s=args.drain_budget,
@@ -356,8 +355,7 @@ def _serve_listen(args, svc) -> int:
         # child stdout for the ephemeral port must never race readiness.
         print(f"LISTENING {gw.address[0]}:{gw.address[1]}", flush=True)
         print(f"gateway listening on {gw.address[0]}:{gw.address[1]} "
-              f"(max_inflight={gw.max_inflight}; SIGTERM drains "
-              f"gracefully)", flush=True)
+              f"(SIGTERM drains gracefully)", flush=True)
         await gw.run_until_signal()
 
     asyncio.run(_run())
@@ -392,7 +390,8 @@ def _serve_fleet(args) -> int:
         replicas=args.replicas,
         cache_dir=cache_dir,
         farm_workers=args.farm_workers,
-        max_inflight=args.max_inflight,
+        workers=args.jobs,
+        queue_limit=args.queue_limit,
         batch_window_ms=args.batch_window_ms,
         batch_max=args.batch_max,
         marker_ttl_s=args.marker_ttl,
@@ -649,14 +648,18 @@ def build_parser() -> argparse.ArgumentParser:
                    "in-process temporary cache)")
     p.add_argument("-j", "--jobs", "--workers", type=int, default=4,
                    dest="jobs",
-                   help="service worker threads (--workers is an alias)")
+                   help="service worker threads: the pool that serves "
+                   "every request, synthetic or over --listen (--workers "
+                   "is an alias)")
     p.add_argument("--farm-workers", type=int, default=0,
                    help="compile-farm worker processes (0 = compile "
                    "inline under the GIL); cold JIT compiles are "
                    "dispatched cross-process so distinct kernels "
                    "compile on distinct cores")
     p.add_argument("--queue-limit", type=int, default=32,
-                   help="admission-queue bound (requests beyond it shed)")
+                   help="admission-queue bound, in-process and over "
+                   "--listen alike: requests beyond it get an immediate "
+                   "classified shed")
     p.add_argument("--marker-ttl", type=float, default=None,
                    help="cross-replica leader-marker TTL in seconds "
                    "(stale .lead markers are reclaimed after this)")
@@ -676,9 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "bind the network gateway (port 0 = ephemeral), serve "
                    "until SIGTERM/SIGINT, then drain gracefully and "
                    "exit 0")
-    p.add_argument("--max-inflight", type=int, default=64,
-                   help="gateway backpressure bound: concurrent requests "
-                   "beyond it get an immediate classified shed")
     p.add_argument("--idle-timeout", type=float, default=30.0,
                    help="per-read idle timeout reclaiming slowloris "
                    "connections")

@@ -78,6 +78,7 @@ leader markers (``stale-lead``) and killed pids (``leaked-workers``).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 import shutil
@@ -100,6 +101,7 @@ __all__ = [
     "ChaosTrial",
     "ChaosReport",
     "run_campaign",
+    "saturated",
     "LAYERS",
     "SERVICE_LAYERS",
     "FARM_LAYERS",
@@ -358,6 +360,17 @@ def _wait_dead(pids, timeout: float) -> list:
     return alive
 
 
+@contextlib.contextmanager
+def saturated(admission):
+    """Hold every free slot of the
+    :class:`~repro.service.admission.AdmissionQueue` ``admission`` for
+    the body, so the next request is shed."""
+    with contextlib.ExitStack() as slots:
+        while admission.depth < admission.limit:
+            slots.enter_context(admission.admit())
+        yield admission
+
+
 class _Soak:
     """What every profile's soak shares: the response judge and
     ``close()``.  Responses are judged in their canonical wire form
@@ -430,6 +443,27 @@ class _Soak:
             return ChaosTrial(layer, kernel, fault, "trapped", str(error))
         return ChaosTrial(layer, kernel, fault, "silent-wrong",
                           f"unknown response status {status!r}")
+
+    def _overload(self, layer: str, kernel: str, send,
+                  resend=None) -> ChaosTrial:
+        """Saturate the service's admission queue, observe ``send(req)``
+        shed, then release and observe ``resend(req)`` served."""
+        fault = "admission-saturation"
+        req = self._payload(kernel)
+        with saturated(self.svc.admission):
+            resp = send(req)
+        if (resp.get("status"), resp.get("error")) != ("shed",
+                                                       "OverloadError"):
+            return ChaosTrial(
+                layer, kernel, fault, "silent-wrong",
+                f"expected a classified shed, got {resp.get('status')}/"
+                f"{resp.get('error')}",
+            )
+        trial = self.judge(layer, fault, req, (resend or send)(req))
+        if not trial.ok:
+            return trial
+        return ChaosTrial(layer, kernel, fault, "shed",
+                          "shed while saturated, served after")
 
 
 class _LayerSoak(_Soak):
@@ -639,31 +673,7 @@ class _ServiceSoak(_Soak):
         return self.judge(layer, repr(fault), req, resp)
 
     def overload(self, kernel: str) -> ChaosTrial:
-        """Saturate admission, observe a classified shed, then recover."""
-        adm = self.svc.admission
-        slots = []
-        try:
-            while adm.depth < adm.limit:
-                slots.append(adm.admit())
-            req = self._payload(kernel)
-            resp = self._serve(req)
-        finally:
-            for s in slots:
-                s.__exit__(None, None, None)
-        if resp["status"] != "shed" or resp["error"] != "OverloadError":
-            return ChaosTrial(
-                "svc-overload", kernel, "admission-saturation",
-                "silent-wrong",
-                f"expected a classified shed, got "
-                f"{resp['status']}/{resp['error']}",
-            )
-        resp2 = self._serve(req)
-        trial2 = self.judge("svc-overload", "admission-saturation",
-                            req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial("svc-overload", kernel, "admission-saturation",
-                          "shed", "shed while saturated, served after")
+        return self._overload("svc-overload", kernel, self._serve)
 
     def deadline(self, kernel: str) -> ChaosTrial:
         req = dict(self._payload(kernel), deadline_s=0.0)
@@ -850,7 +860,7 @@ class _GatewaySoak(_Soak):
         # batch path earns the same zero-torn / zero-unclassified
         # invariants as the direct path.
         self.gw = ThreadedGateway(
-            self.svc, max_inflight=8, idle_timeout_s=0.35,
+            self.svc, idle_timeout_s=0.35,
             drain_grace_s=0.0, drain_budget_s=10.0,
             batch_window_s=0.05, batch_max=8,
         )
@@ -1083,31 +1093,13 @@ class _GatewaySoak(_Soak):
         )
 
     def overload(self, kernel: str) -> ChaosTrial:
-        req = self._payload(kernel)
-        gw = self.gw.gateway
-        # Saturate the gateway's inflight gauge (the campaign is serial,
-        # so nothing else is touching it), observe a fast classified
-        # shed, then release and observe recovery.
-        gw._inflight += gw.max_inflight
-        try:
-            resp = self.fast.request(req, deadline_s=10.0)
-        finally:
-            gw._inflight -= gw.max_inflight
-        if resp.get("status") != "shed" or (
-            resp.get("error") != "OverloadError"
-        ):
-            return ChaosTrial(
-                "gw-overload", kernel, "inflight-saturation",
-                "silent-wrong",
-                f"expected a classified shed, got {resp.get('status')}/"
-                f"{resp.get('error')}",
-            )
-        resp2 = self.client.request(req, deadline_s=60.0)
-        trial2 = self.judge("gw-overload", "inflight-saturation", req, resp2)
-        if not trial2.ok:
-            return trial2
-        return ChaosTrial("gw-overload", kernel, "inflight-saturation",
-                          "shed", "shed while saturated, served after")
+        # The campaign is serial, so nothing else holds admission slots:
+        # the no-retry client's request is the one the full queue sheds.
+        return self._overload(
+            "gw-overload", kernel,
+            lambda req: self.fast.request(req, deadline_s=10.0),
+            lambda req: self.client.request(req, deadline_s=60.0),
+        )
 
     def deadline(self, kernel: str) -> ChaosTrial:
         from ..service import wire
@@ -1402,7 +1394,7 @@ class _FleetSoak(_Soak):
         self.sup = FleetSupervisor(
             self.replicas, cache_dir,
             farm_workers=farm_workers, workers=4,
-            queue_limit=32, max_inflight=32,
+            queue_limit=32,
             marker_ttl_s=self.marker_ttl_s, farm_budget_s=10.0,
             probe_interval_s=0.1, probe_timeout_s=2.0, probe_failures=3,
             restart_backoff_base=0.02, restart_backoff_cap=0.1,

@@ -28,8 +28,11 @@ cache is built *assuming* its own entries will go bad:
   the entries: one replica claims compile leadership (``O_EXCL`` create),
   the others wait-and-read instead of recompiling, and a marker whose
   mtime ages past its TTL is *taken over* — a crashed replica can never
-  strand the fleet.  Markers are advisory: the worst case of any race is
-  one redundant compile, which the atomic entry write makes harmless.
+  strand the fleet.  A marker records its owner's pid, so a supervisor
+  that saw a replica die reaps that replica's markers at once
+  (:func:`reap_leader_markers`) instead of leaving them for the TTL.
+  Markers are advisory: the worst case of any race is one redundant
+  compile, which the atomic entry write makes harmless.
 
 Keys are :class:`CacheKey` tuples — (bytecode CRC-32, target name,
 compiler name, toolchain version) — so a toolchain upgrade or a different
@@ -38,6 +41,7 @@ online compiler can never alias a stale artifact.
 
 from __future__ import annotations
 
+import glob
 import os
 import pickle
 import re
@@ -60,6 +64,7 @@ __all__ = [
     "atomic_write",
     "canonical_crc",
     "pack_kernel",
+    "reap_leader_markers",
     "unpack_kernel",
     "ENTRY_MAGIC",
     "TOOLCHAIN_VERSION",
@@ -197,6 +202,25 @@ def atomic_write(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def reap_leader_markers(root: str, pid: int) -> int:
+    """Unlink the ``.lead`` markers in ``root`` that process ``pid``
+    claimed (:meth:`KernelCache.claim_leader` tokens are
+    ``"<pid>:<uuid>"``); returns how many.  Without this, a dead
+    replica's marker whose entry landed before the death is never
+    claimed again, so never aged out by the TTL."""
+    prefix = f"{int(pid)}:".encode("ascii")
+    reaped = 0
+    for path in glob.glob(os.path.join(glob.escape(root), "*.lead")):
+        try:
+            with open(path, "rb") as f:
+                if f.read().startswith(prefix):
+                    os.unlink(path)
+                    reaped += 1
+        except OSError:
+            pass
+    return reaped
 
 
 def _pack_entry(payload: bytes) -> bytes:
@@ -587,7 +611,7 @@ class KernelCache:
         deterministically exercising the takeover path.
         """
         path = self._marker_path(key)
-        token = uuid.uuid4().hex
+        token = f"{os.getpid()}:{uuid.uuid4().hex}"
         if faults.stale_marker() is not None:
             # A replica "died" holding leadership: its marker is on disk
             # and old enough that the TTL has long expired.

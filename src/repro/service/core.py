@@ -45,6 +45,7 @@ recorded as a :class:`~repro.jit.materialize.DegradationEvent`:
 
 from __future__ import annotations
 
+import contextvars
 import random
 import threading
 import time
@@ -187,6 +188,12 @@ def _event(kernel: str, target: str, cause: str, detail: str = ""):
         function=kernel, target=target, group=None, cause=cause,
         detail=detail,
     )
+
+
+def _resolved(resp: ServiceResponse) -> Future:
+    fut: Future = Future()
+    fut.set_result(resp)
+    return fut
 
 
 class KernelService:
@@ -342,16 +349,12 @@ class KernelService:
 
     # -- request entry points -------------------------------------------------
 
-    def handle(self, request: ServiceRequest) -> ServiceResponse:
-        """Serve one request synchronously (admission still applies)."""
-        self._bump("requests")
-        try:
-            slot = self.admission.admit()
-        except OverloadError as exc:
-            return self._shed_response(request, exc)
-        if request.batch_size > 1:
-            # One slot answers the whole flight group; ledger the riders.
-            self.admission.note_batched(request.batch_size - 1)
+    def handle(self, request: ServiceRequest, _slot=None) -> ServiceResponse:
+        """Serve one request synchronously (admission still applies,
+        unless :meth:`submit` already charged ``_slot`` for it)."""
+        slot = self._admit(request) if _slot is None else _slot
+        if isinstance(slot, ServiceResponse):
+            return slot
         with slot:
             return self._guarded_serve(request)
 
@@ -361,33 +364,22 @@ class KernelService:
         Admission is charged *now* — at submission — so a flood of
         submissions past ``queue_limit`` is shed immediately (the future
         resolves to a ``shed`` response) instead of parking unboundedly
-        in the executor queue.
+        in the executor queue.  The work runs in a copy of the caller's
+        context, so its ``service.request`` span nests under the caller's.
         """
-        self._bump("requests")
+        slot = self._admit(request)
+        if isinstance(slot, ServiceResponse):
+            return _resolved(slot)
         try:
-            slot = self.admission.admit()
-        except OverloadError as exc:
-            fut: Future = Future()
-            fut.set_result(self._shed_response(request, exc))
-            return fut
-
-        def work() -> ServiceResponse:
-            with slot:
-                return self._guarded_serve(request)
-
-        try:
-            return self._pool.submit(work)
+            return self._pool.submit(contextvars.copy_context().run,
+                                     self.handle, request, slot)
         except RuntimeError as exc:  # pool shut down
             slot.__exit__(None, None, None)
-            fut = Future()
-            fut.set_result(
-                ServiceResponse(
-                    request, "rejected", error=classify(exc),
-                    events=[_event(request.kernel, request.target,
-                                   "service-closed", str(exc))],
-                )
-            )
-            return fut
+            return _resolved(ServiceResponse(
+                request, "rejected", error=classify(exc),
+                events=[_event(request.kernel, request.target,
+                               "service-closed", str(exc))],
+            ))
 
     def serve(self, requests) -> list:
         """Submit a batch concurrently; responses in request order."""
@@ -446,6 +438,19 @@ class KernelService:
     def _bump(self, key: str, n: int = 1) -> None:
         self._counters.bump(key, n)
         obs.count(f"service.{key}", n)
+
+    def _admit(self, request: ServiceRequest):
+        """Count ``request`` and charge it one admission slot; returns the
+        slot, or the ``shed`` response when the queue is full."""
+        self._bump("requests")
+        try:
+            slot = self.admission.admit()
+        except OverloadError as exc:
+            return self._shed_response(request, exc)
+        if request.batch_size > 1:
+            # One slot answers the whole flight group; ledger the riders.
+            self.admission.note_batched(request.batch_size - 1)
+        return slot
 
     def _shed_response(self, request, exc) -> ServiceResponse:
         self._bump("shed")

@@ -7,12 +7,12 @@ over a wire, finished by heterogeneous clients.  This module puts a
 real protocol (:mod:`repro.service.wire`) in front of
 :class:`~repro.service.KernelService`, built robustness-first:
 
-* **Bounded backpressure** — the gateway admits at most
-  ``max_inflight`` concurrent service calls.  Excess requests are
-  answered *immediately* with a classified shed (the same
-  ``OverloadError`` tag the service's admission queue uses) instead of
-  parking in an unbounded queue; overload costs the caller one RTT, not
-  a timeout, and never balloons gateway memory.
+* **Bounded backpressure** — every compile goes through
+  :meth:`KernelService.submit`, so the service's ``queue_limit`` bounds
+  the wire: excess requests are answered *immediately* with a
+  classified shed (``OverloadError``), costing the caller one RTT, not
+  a timeout, and the gateway no queue memory.  The work runs on the
+  service's own ``workers`` pool.
 * **Deadline propagation** — the client's remaining budget rides in the
   frame header and lands in ``ServiceRequest.deadline_s``, so a slow
   compile can never outlive the caller that wanted it.
@@ -30,8 +30,9 @@ real protocol (:mod:`repro.service.wire`) in front of
   never a torn frame.  Then the service (and its compile farm) is
   closed, so no worker process ever outlives the front door.
 
-Every served request is one ``service.gateway.request`` span wrapping
-the usual ``service.request`` span tree, and the gateway feeds
+Every served request is one ``service.gateway.request`` span, opened in
+the request's task around the awaited service call, with the usual
+``service.request`` span tree nested under it, and the gateway feeds
 ``gateway.*`` metrics (see docs/observability.md).
 """
 
@@ -42,8 +43,6 @@ import contextlib
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-
 from dataclasses import replace
 
 from .. import faults, obs
@@ -142,9 +141,9 @@ def _jsonable(obj):
 class GatewayServer:
     """One asyncio TCP gateway fronting one :class:`KernelService`.
 
-    The event loop owns framing, backpressure, and drain; service calls
-    run on a dedicated thread pool (``handler_threads``) because
-    :meth:`KernelService.handle` is blocking by design.  States move
+    The event loop owns framing and drain; every compile request is
+    handed to :meth:`KernelService.submit` (admission and the worker
+    pool are the service's) and its future awaited.  States move
     strictly ``running -> draining -> closed``.
 
     ``close_service=True`` makes :meth:`drain` also close the service
@@ -158,8 +157,6 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_inflight: int = 64,
-        handler_threads: int = 8,
         idle_timeout_s: float | None = 30.0,
         drain_grace_s: float = 0.05,
         drain_budget_s: float = 10.0,
@@ -170,7 +167,6 @@ class GatewayServer:
         self.service = service
         self.host = host
         self.port = int(port)
-        self.max_inflight = int(max_inflight)
         self.idle_timeout_s = idle_timeout_s
         self.drain_grace_s = float(drain_grace_s)
         self.drain_budget_s = float(drain_budget_s)
@@ -182,12 +178,8 @@ class GatewayServer:
         self.close_service = bool(close_service)
         self.state = "running"
         self._server: asyncio.AbstractServer | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=int(handler_threads),
-            thread_name_prefix="repro-gateway",
-        )
+        #: service calls awaited right now; drain waits for it to reach 0.
         self._inflight = 0
-        self._peak_inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
         self._writers: set[asyncio.StreamWriter] = set()
@@ -257,10 +249,10 @@ class GatewayServer:
         # for their fan-outs so every batched waiter gets its answer.
         if self._batches:
             await self._flush_pending_batches(self.drain_budget_s)
-        # In-flight requests (already dispatched to the service) finish
+        # In-flight requests (already submitted to the service) finish
         # under the drain budget; anything still running past it is
-        # abandoned to the executor's daemon threads — the response is
-        # lost but no torn frame is ever written.
+        # abandoned — the response is lost but no torn frame is ever
+        # written.
         with contextlib.suppress(asyncio.TimeoutError):
             await asyncio.wait_for(
                 self._idle.wait(), timeout=self.drain_budget_s
@@ -269,9 +261,9 @@ class GatewayServer:
             with contextlib.suppress(Exception):
                 writer.close()
         self.state = "closed"
-        self._executor.shutdown(wait=False)
         if self.close_service:
-            self.service.close()
+            # No waiting: in-flight work already had its drain budget.
+            self.service.close(wait=False)
 
     async def run_until_signal(self, signals=("SIGTERM", "SIGINT")) -> None:
         """Serve until a termination signal, then drain.  The CLI's
@@ -308,8 +300,6 @@ class GatewayServer:
             "state": self.state,
             "address": list(self.address),
             "inflight": self._inflight,
-            "peak_inflight": self._peak_inflight,
-            "max_inflight": self.max_inflight,
             "open_connections": len(self._writers),
             "batch_window_s": self.batch_window_s,
             "batch_pending": len(self._batches),
@@ -472,31 +462,30 @@ class GatewayServer:
             )
         if self.batch_window_s > 0:
             return await self._batched_compile(payload, deadline_s, started)
-        if self._inflight >= self.max_inflight:
-            # Gateway-level backpressure: answered from the event loop
-            # in microseconds, without touching the handler pool — the
-            # fast classified rejection that makes overload cheap for
-            # both sides.  (The service's own admission queue still
-            # guards the thread path below.)
-            self._bump("rejected_overload")
-            return self._reject_payload(
-                payload, "shed", "OverloadError", "gateway-overload",
-                f"gateway at max_inflight={self.max_inflight}; request "
-                f"shed, retry with backoff",
-            )
         try:
             request = self._parse_request(payload, deadline_s)
         except (TypeError, ValueError) as exc:
             return self._reject_payload(
                 payload, "rejected", "bad-request", "bad-request", str(exc)
             )
-        resp = await self._serve_counted(request, deadline_s)
+        resp = await self._serve_counted(request)
+        return self._answered(response_payload(resp), started)
+
+    def _answered(self, data: dict, started: float) -> dict:
+        """Count one compile answer the service produced: a ``shed``
+        one (admission was full) in ``stats()["rejected_overload"]``,
+        any other as ``served``, timed in ``gateway.request_seconds``.
+        Sheds are metered once per admission by ``admission.shed``, so
+        the gateway emits no metric of its own for them."""
+        if data["status"] == "shed":
+            self._counts["rejected_overload"] += 1
+            return data
         self._bump("served")
         obs.observe(
             "gateway.request_seconds", time.perf_counter() - started,
             bounds=LATENCY_BUCKETS,
         )
-        return response_payload(resp)
+        return data
 
     # -- pre-admission batching -----------------------------------------------
 
@@ -507,7 +496,7 @@ class GatewayServer:
 
         Invariants (chaos-enforced):
 
-        * one group -> one admission slot -> one service call;
+        * one group -> one admission charge -> one service call;
         * every waiter receives either the group's byte-identical
           response payload or its *own* classified rejection — never a
           torn frame, never two answers;
@@ -556,13 +545,6 @@ class GatewayServer:
                 f"deadline of {deadline_s:.3f}s expired while the "
                 f"request was batched",
             )
-        if kind == "shed":
-            self._bump("rejected_overload")
-            return self._reject_payload(
-                payload, "shed", "OverloadError", "gateway-overload",
-                f"gateway at max_inflight={self.max_inflight}; batched "
-                f"request shed, retry with backoff",
-            )
         if kind == "expired":
             self._bump("batch.expired")
             return self._reject_payload(
@@ -574,12 +556,7 @@ class GatewayServer:
                 payload, "rejected", data, "batch-internal",
                 "internal error while serving the flight group",
             )
-        self._bump("served")
-        obs.observe(
-            "gateway.request_seconds", time.perf_counter() - started,
-            bounds=LATENCY_BUCKETS,
-        )
-        return data
+        return self._answered(data, started)
 
     def _flush_batch(self, group: _BatchGroup) -> None:
         """Close a group to new joiners and hand it to :meth:`_run_batch`.
@@ -599,8 +576,9 @@ class GatewayServer:
         asyncio.get_running_loop().create_task(self._run_batch(group))
 
     async def _run_batch(self, group: _BatchGroup) -> None:
-        """Serve one flight group: one admission slot, one service
-        call, one result resolved into the shared future."""
+        """Serve one flight group: one admission charge, one service
+        call, one result (possibly a shed) resolved into the shared
+        future."""
         loop = asyncio.get_running_loop()
         n = group.size
         self._bump("batch.flushed")
@@ -608,11 +586,6 @@ class GatewayServer:
             self._bump("batch.merged", n - 1)
         obs.observe("gateway.batch.size", n, bounds=BATCH_SIZE_BUCKETS)
         try:
-            if self._inflight >= self.max_inflight:
-                # Backpressure at the merge point: the whole group costs
-                # one classified shed, answered from the event loop.
-                group.future.set_result(("shed", None))
-                return
             if any(e is None for e in group.expiries):
                 group_deadline = None
             else:
@@ -627,7 +600,7 @@ class GatewayServer:
             request = replace(
                 group.request, deadline_s=group_deadline, batch_size=n
             )
-            resp = await self._serve_counted(request, group_deadline, n)
+            resp = await self._serve_counted(request)
             data = dict(response_payload(resp))
             data["batched"] = n
             group.future.set_result(("served", data))
@@ -652,39 +625,35 @@ class GatewayServer:
                     timeout=timeout,
                 )
 
-    async def _serve_counted(self, request: ServiceRequest, deadline_s,
-                             batch_size: int = 1):
-        """Hand one service call to the handler pool, counted in the
-        inflight gauge (and the drain's idle event) until it returns."""
+    async def _serve_counted(self, request: ServiceRequest):
+        """Submit one service call and await its future, counted in the
+        inflight gauge (and the drain's idle event) until it returns.
+
+        ``submit`` admits (or sheds) right here on the event loop; the
+        ``service.gateway.request`` span is open in this task, and the
+        service runs the work in a copy of this context, so its
+        ``service.request`` span nests under the gateway's."""
         self._inflight += 1
-        self._peak_inflight = max(self._peak_inflight, self._inflight)
         self._idle.clear()
         obs.gauge("gateway.inflight", self._inflight)
         try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._handle_traced, request, deadline_s,
-                batch_size,
-            )
+            with obs.span("service.gateway.request", phase="service",
+                          kernel=request.kernel, flow=request.flow,
+                          target=request.target) as sp:
+                if request.deadline_s is not None:
+                    sp.set(deadline_s=request.deadline_s)
+                if request.batch_size > 1:
+                    sp.set(batch=True, batch_size=request.batch_size)
+                resp = await asyncio.wrap_future(
+                    self.service.submit(request)
+                )
+                sp.set(status=resp.status, from_cache=resp.from_cache)
+                return resp
         finally:
             self._inflight -= 1
             obs.gauge("gateway.inflight", self._inflight)
             if self._inflight == 0:
                 self._idle.set()
-
-    def _handle_traced(self, request: ServiceRequest, deadline_s,
-                       batch_size: int = 1):
-        """Runs on the handler pool: one ``service.gateway.request``
-        span wrapping the service's own ``service.request`` span."""
-        with obs.span("service.gateway.request", phase="service",
-                      kernel=request.kernel, flow=request.flow,
-                      target=request.target) as sp:
-            if deadline_s is not None:
-                sp.set(deadline_s=deadline_s)
-            if batch_size > 1:
-                sp.set(batch=True, batch_size=batch_size)
-            resp = self.service.handle(request)
-            sp.set(status=resp.status, from_cache=resp.from_cache)
-            return resp
 
     @staticmethod
     def _parse_request(payload: dict, deadline_s) -> ServiceRequest:

@@ -34,8 +34,9 @@ The supervisor's job is the part the paper never had to worry about:
 
 Crash consistency is inherited, not re-implemented: a ``kill -9`` mid
 cache write leaves only a ``*.tmp`` the index never reads, a killed
-leader's stale ``.lead`` marker is reclaimed by any survivor after the
-marker TTL, and the farm workers of the dead replica reap themselves
+leader's ``.lead`` markers are reaped by the supervisor when it restarts
+the replica (and reclaimed by any survivor after the marker TTL before
+that), and the farm workers of the dead replica reap themselves
 via the parent-death watchdog (:mod:`repro.service.farm`).  The
 ``chaos --profile fleet`` campaign SIGKILLs replicas at exactly those
 moments and asserts all of it end-to-end (docs/resilience.md).
@@ -54,6 +55,7 @@ from .. import obs
 from ..errors import ReproError
 from ..harness.parallel import backoff_delay
 from .admission import DeadlineError
+from .cache import reap_leader_markers
 from .client import GatewayClient, parse_address
 from .wire import NetworkError
 
@@ -127,7 +129,6 @@ class FleetSupervisor:
         farm_workers: int = 0,
         workers: int = 4,
         queue_limit: int = 64,
-        max_inflight: int = 64,
         batch_window_ms: float = 0.0,
         batch_max: int = 16,
         marker_ttl_s: float | None = None,
@@ -148,7 +149,6 @@ class FleetSupervisor:
         self.farm_workers = int(farm_workers)
         self.workers = int(workers)
         self.queue_limit = int(queue_limit)
-        self.max_inflight = int(max_inflight)
         self.batch_window_ms = float(batch_window_ms)
         self.batch_max = int(batch_max)
         self.marker_ttl_s = marker_ttl_s
@@ -186,7 +186,6 @@ class FleetSupervisor:
             "--farm-workers", str(self.farm_workers),
             "--jobs", str(self.workers),
             "--queue-limit", str(self.queue_limit),
-            "--max-inflight", str(self.max_inflight),
             "--seed", str(self.seed + index),
         ]
         if self.batch_window_ms > 0:
@@ -482,6 +481,11 @@ class FleetSupervisor:
                 proc.wait(timeout=10.0)
             except subprocess.TimeoutExpired:
                 pass
+            else:
+                # The dead incarnation's leader markers can outlive it.
+                reaped = reap_leader_markers(self.cache_dir, proc.pid)
+                if reaped:
+                    obs.count("supervisor.markers_reaped", reaped)
         now = time.monotonic()
         with self._lock:
             r.restart_times = [

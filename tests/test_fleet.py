@@ -172,10 +172,10 @@ class _StubFleet(FleetSupervisor):
     """A supervisor over arbitrary stub children: anything that speaks
     the ``LISTENING host:port`` stdout contract can be supervised."""
 
-    def __init__(self, script: str, replicas: int = 1, **kwargs):
+    def __init__(self, script: str, replicas: int = 1,
+                 cache_dir: str = "/nonexistent-unused", **kwargs):
         self._script = script
-        super().__init__(replicas, cache_dir="/nonexistent-unused",
-                         **kwargs)
+        super().__init__(replicas, cache_dir=cache_dir, **kwargs)
 
     def _replica_command(self, index):
         return [sys.executable, "-u", "-c", self._script]
@@ -263,6 +263,51 @@ def test_crash_loop_parks_with_classified_fleet_error():
                                "up": 0, "parked": 1, "replicas": 1}
         # every dead incarnation actually reaped
         assert _wait_dead(sup.pid_history()[0]) == []
+    finally:
+        sup.stop()
+
+
+def test_leader_marker_token_records_the_owner_pid(tmp_path):
+    from repro.service.cache import CacheKey, KernelCache
+
+    cache = KernelCache(str(tmp_path))
+    key = CacheKey(0x1234, "sse", "MonoJIT", "test")
+    token = cache.claim_leader(key, ttl_s=10.0)
+    assert token.startswith(f"{os.getpid()}:")
+    marker = tmp_path / (key.filename() + ".lead")
+    assert marker.read_text() == token
+    cache.release_leader(key, "someone-else")  # exact token match only
+    assert marker.exists()
+    cache.release_leader(key, token)
+    assert not marker.exists()
+
+
+def test_respawn_reaps_the_dead_replicas_leader_markers(tmp_path):
+    """A replica killed while it holds ``.lead`` markers leaves them on
+    disk; the supervisor unlinks the ones with the dead pid when it
+    respawns the slot, and leaves every other marker alone."""
+    sup = _StubFleet(_ANNOUNCE_AND_HOLD, replicas=1,
+                     cache_dir=str(tmp_path), probe_interval_s=0.05,
+                     probe_timeout_s=1.0, restart_backoff_base=0.01,
+                     restart_backoff_cap=0.02, spawn_timeout_s=15.0,
+                     seed=0)
+    try:
+        sup.start()
+        victim = sup.replica_pids()[0]
+        mine = tmp_path / "b.vbk.lead"
+        (tmp_path / "a.vbk.lead").write_text(f"{victim}:deadbeef")
+        mine.write_text(f"{os.getpid()}:cafef00d")
+        (tmp_path / "c.vbk.lead").write_text("injected-dead-replica\n")
+        assert sup.kill(0) == victim
+        deadline = time.perf_counter() + 30.0
+        while time.perf_counter() < deadline:
+            if sup.stats()["restarts"] == 1 and sup.up_count() == 1:
+                break
+            time.sleep(0.05)
+        assert sup.stats()["restarts"] == 1
+        assert sorted(p.name for p in tmp_path.glob("*.lead")) == [
+            "b.vbk.lead", "c.vbk.lead"]
+        assert mine.read_text() == f"{os.getpid()}:cafef00d"
     finally:
         sup.stop()
 

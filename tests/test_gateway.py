@@ -3,11 +3,12 @@
 Covers the gateway stack end to end: the CRC-framed wire codec and its
 classified failure taxonomy, byte-identity between a wire-served warm
 response and the in-process one, deadline propagation from the frame
-header into the service, gateway-level backpressure, hostile-wire
-hygiene (garbage, truncation, slowloris, idle reclaim), the graceful
-drain state machine, the resilient client's retry/failover behaviour,
-and the farm-teardown regression (no worker process outlives its
-service — atexit, close(), or SIGTERM).
+header into the service, the service's admission bound over the wire
+(one bound, one pool), hostile-wire hygiene (garbage, truncation,
+slowloris, idle reclaim), the graceful drain state machine, the
+resilient client's retry/failover behaviour, and the farm-teardown
+regression (no worker process outlives its service — atexit, close(),
+or SIGTERM).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 
 from repro import faults
 from repro.errors import classify
+from repro.harness.chaos import saturated
 from repro.service import (
     DrainError,
     GatewayClient,
@@ -82,7 +84,7 @@ def stack(tmp_path_factory):
     cache = tmp_path_factory.mktemp("gw-cache")
     svc = KernelService(cache_dir=str(cache), seed=0, workers=4,
                         queue_limit=32)
-    gw = ThreadedGateway(svc, max_inflight=8, idle_timeout_s=5.0,
+    gw = ThreadedGateway(svc, idle_timeout_s=5.0,
                          drain_grace_s=0.0)
     yield svc, gw
     gw.close()
@@ -248,20 +250,19 @@ def test_wire_deadline_lands_in_service(stack):
 
 def test_overload_shed_is_fast_and_classified(tmp_path):
     svc = KernelService(cache_dir=None, workers=2)
-    gw = ThreadedGateway(svc, max_inflight=2, drain_grace_s=0.0)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0)
     try:
         c = GatewayClient([gw.address], retries=0, seed=0)
         try:
-            # Saturate the admission counter from outside: the event
-            # loop sheds without touching the handler pool.
-            gw.gateway._inflight += gw.gateway.max_inflight
-            start = time.perf_counter()
-            resp = c.compile_run("saxpy_fp", size=SIZE)
-            elapsed = time.perf_counter() - start
+            # Saturate the service's admission queue from outside: the
+            # event loop sheds at submission, without touching the pool.
+            with saturated(svc.admission):
+                start = time.perf_counter()
+                resp = c.compile_run("saxpy_fp", size=SIZE)
+                elapsed = time.perf_counter() - start
             assert resp["status"] == "shed"
             assert resp["error"] == "OverloadError"
             assert elapsed < 1.0  # one RTT, not a timeout
-            gw.gateway._inflight -= gw.gateway.max_inflight
             resp = c.compile_run("saxpy_fp", size=SIZE)
             assert resp["status"] == "ok"
             assert gw.stats()["rejected_overload"] >= 1
@@ -270,6 +271,85 @@ def test_overload_shed_is_fast_and_classified(tmp_path):
     finally:
         gw.close()
         svc.close()
+
+
+def test_queue_limit_bounds_the_wire(tmp_path):
+    """``queue_limit`` and ``workers`` are the wire's only load knobs:
+    a storm of slow requests past the bound is shed with a classified
+    ``OverloadError``, admission depth never exceeds the limit, the
+    ``health`` verb reports ``overloaded`` while the queue is full, and
+    every request that was not shed is answered correctly.
+
+    Admitted requests are held at the service's door until the sheds
+    and the health probe are in, so the storm is deterministic."""
+    from repro.harness.flows import FlowRunner
+    from repro.kernels import get_kernel
+
+    limit, storm = 10, 30
+    req = {"op": "compile", "kernel": "MMM_fp", "flow": FLOW,
+           "target": "sse", "size": None}
+    ref = FlowRunner().run(get_kernel("MMM_fp").instantiate(None), FLOW,
+                           "sse")
+    svc = KernelService(cache_dir=None, queue_limit=limit, workers=2)
+    gate = threading.Event()
+    serve = svc._guarded_serve
+    ran_on = set()
+
+    def held(request):
+        ran_on.add(threading.current_thread().name.rsplit("_", 1)[0])
+        gate.wait(30.0)
+        return serve(request)
+
+    svc._guarded_serve = held
+    gw = ThreadedGateway(svc, drain_grace_s=0.0)
+    clients = [GatewayClient([gw.address], retries=0, seed=i)
+               for i in range(storm)]
+    prober = GatewayClient([gw.address], retries=0, seed=storm)
+    answers = [None] * storm
+    try:
+        for c in clients + [prober]:
+            assert c.ready()  # connect before the storm
+        go = threading.Barrier(storm)
+
+        def send(i):
+            go.wait()
+            answers[i] = clients[i].request(req, deadline_s=60.0)
+
+        threads = [threading.Thread(target=send, args=(i,))
+                   for i in range(storm)]
+        for t in threads:
+            t.start()
+        deadline = time.perf_counter() + 5.0
+        while (sum(a is not None for a in answers) < storm - limit
+               and time.perf_counter() < deadline):
+            time.sleep(0.01)
+        health = prober.health()["health"]
+        gate.set()
+        for t in threads:
+            t.join(60.0)
+        assert not any(t.is_alive() for t in threads)
+        adm = svc.stats()["admission"]
+    finally:
+        gate.set()
+        for c in clients + [prober]:
+            c.close()
+        gw.close()
+        svc.close()
+    shed = [a for a in answers if a["status"] == "shed"]
+    served = [a for a in answers if a["status"] != "shed"]
+    assert len(shed) == storm - limit
+    assert all(a["error"] == "OverloadError" for a in shed)
+    assert adm["peak_depth"] == limit
+    assert adm["shed"] == storm - limit
+    assert health["status"] == "overloaded"
+    assert health["queue_depth"] == limit
+    assert len(served) == limit
+    assert ran_on == {"repro-service"}  # the service's pool, no other
+    for a in served:
+        assert a["status"] == "ok", a
+        assert a["result"]["checked"]
+        assert (a["result"]["cycles"], a["result"]["value"]) == (
+            ref.cycles, ref.value)
 
 
 # -- hostile wire -------------------------------------------------------------
@@ -517,8 +597,8 @@ def test_client_prunes_state_for_departed_replicas(tmp_path):
 
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=2, queue_limit=16)
-    gw_old = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0)
-    gw_new = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0)
+    gw_old = ThreadedGateway(svc, drain_grace_s=0.0)
+    gw_new = ThreadedGateway(svc, drain_grace_s=0.0)
     dead_addr = _dead_address()
     payload = _compile_payload()
     # Generation 1: the shard owner is dead, the other slot live — one
@@ -591,7 +671,7 @@ def test_client_transparently_resends_on_stale_keepalive(tmp_path):
     NetworkError — even with retries=0."""
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=2, queue_limit=16)
-    gw = ThreadedGateway(svc, max_inflight=8, idle_timeout_s=0.2,
+    gw = ThreadedGateway(svc, idle_timeout_s=0.2,
                          drain_grace_s=0.0)
     c = GatewayClient([gw.address], retries=0, seed=0)
     try:

@@ -73,7 +73,7 @@ def stack(tmp_path):
     and compiles, so no state may leak between tests."""
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=4, queue_limit=32)
-    gw = ThreadedGateway(svc, max_inflight=8, idle_timeout_s=5.0,
+    gw = ThreadedGateway(svc, idle_timeout_s=5.0,
                          drain_grace_s=0.0, batch_window_s=WINDOW,
                          batch_max=16)
     yield svc, gw
@@ -151,7 +151,7 @@ def test_batch_max_flushes_early(tmp_path):
     """A full group must not sit out the rest of a long window."""
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=4, queue_limit=32)
-    gw = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0,
+    gw = ThreadedGateway(svc, drain_grace_s=0.0,
                          batch_window_s=5.0, batch_max=2)
     try:
         frame = wire.encode_frame(_payload("sad_s8"))
@@ -355,7 +355,7 @@ def test_drain_serves_pending_batch(tmp_path):
     drain flushes open groups instead of abandoning their waiters."""
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=4, queue_limit=32)
-    gw = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0,
+    gw = ThreadedGateway(svc, drain_grace_s=0.0,
                          drain_budget_s=15.0, batch_window_s=10.0,
                          batch_max=16)
     try:
@@ -391,7 +391,7 @@ def test_batching_off_by_default(tmp_path):
     path: no ``batched`` key on responses, no group accounting."""
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=2, queue_limit=16)
-    gw = ThreadedGateway(svc, max_inflight=8, drain_grace_s=0.0)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0)
     c = GatewayClient([gw.address], retries=0)
     try:
         resp = c.compile_run("sad_s8", size=SIZE)

@@ -202,6 +202,40 @@ def test_service_request_span_links_response(inst, tmp_path):
     assert warm_jit[0].attrs.get("cached") is True
 
 
+def test_submitted_requests_nest_under_the_callers_span(tmp_path):
+    """``serve``/``submit`` run the work in a copy of the submitter's
+    context, so each ``service.request`` is a child of the span the
+    caller had open, not an orphan root on a pool thread."""
+    with obs.recording() as ob:
+        with KernelService(cache_dir=str(tmp_path / "c"), workers=2) as svc:
+            with obs.span("caller", phase="flow") as caller:
+                resps = svc.serve([ServiceRequest("saxpy_fp", size=32),
+                                   ServiceRequest("dscal_fp", size=32)])
+    assert [r.status for r in resps] == ["ok", "ok"]
+    requests = [s for s in ob.spans() if s.name == "service.request"]
+    assert sorted(s.span_id for s in requests) == sorted(
+        r.span_id for r in resps)
+    assert [s.parent_id for s in requests] == [caller.span_id] * 2
+    assert {s.trace_id for s in requests} == {caller.trace_id}
+
+
+def test_wire_request_nests_under_the_gateway_span(tmp_path):
+    from repro.service import GatewayClient, ThreadedGateway
+
+    with obs.recording() as ob:
+        with KernelService(cache_dir=str(tmp_path / "c"), workers=2) as svc:
+            with ThreadedGateway(svc, drain_grace_s=0.0) as gw:
+                with GatewayClient([gw.address], retries=0) as client:
+                    resp = client.compile_run("saxpy_fp", size=32)
+    assert resp["status"] == "ok"
+    spans = ob.spans()
+    (outer,) = [s for s in spans if s.name == "service.gateway.request"]
+    (inner,) = [s for s in spans if s.name == "service.request"]
+    assert inner.parent_id == outer.span_id
+    assert outer.attrs["status"] == "ok"
+    assert outer.dur_s >= inner.dur_s
+
+
 def test_service_rejection_span_carries_events():
     with obs.recording() as ob:
         with KernelService() as svc:
