@@ -345,7 +345,6 @@ def _serve_listen(args, svc) -> int:
         drain_grace_s=args.drain_grace,
         drain_budget_s=args.drain_budget,
         batch_window_s=args.batch_window_ms / 1000.0,
-        batch_max=args.batch_max,
         close_service=True,
     )
 
@@ -393,7 +392,6 @@ def _serve_fleet(args) -> int:
         workers=args.jobs,
         queue_limit=args.queue_limit,
         batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
         marker_ttl_s=args.marker_ttl,
         farm_budget_s=args.farm_budget,
     )
@@ -692,12 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pre-admission batching window in milliseconds: "
                    "same-shape compile requests arriving within it merge "
                    "into one flight group (one admission slot, one "
-                   "compile, fanned out to every waiter); 0 disables "
-                   "batching")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="flush a flight group early once it holds this "
-                   "many waiters (bounds fan-out latency under a "
-                   "stampede)")
+                   "compile, fanned out to every waiter; a group of "
+                   "16 is served at once); 0 disables batching")
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_serve)
 

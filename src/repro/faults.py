@@ -58,7 +58,9 @@ is installed, so the production path pays effectively nothing.
 
 from __future__ import annotations
 
+import os
 import random
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -254,7 +256,7 @@ class BatchStorm:
     frames inside one batch window, so they must merge into one flight
     group (one admission slot, one compile).  With ``kill_leader`` the
     first connection — the one whose arrival *opened* the group — is
-    torn down mid-window; the flush timer is owned by the event loop,
+    torn down mid-window; the window task is owned by the event loop,
     so the survivors must still receive complete, byte-identical
     response frames and the batch table must end empty (no leaked
     group entry, no double-answered waiter).  Driven by the gateway
@@ -524,6 +526,17 @@ def worker_fault(kernel: str, flow: str):
     """Harness injection point: the crash/stall fault matching this sweep
     cell under the active plan, or None."""
     return None if _ACTIVE is None else _ACTIVE.worker_fault(kernel, flow)
+
+
+def apply_worker_fault(kernel: str, flow: str) -> None:
+    """Fire the :func:`worker_fault` matching this job inside a worker
+    process: a crash exits at once (no cleanup, no reply — a simulated
+    segfault), a stall sleeps its ``seconds``."""
+    fault = worker_fault(kernel, flow)
+    if isinstance(fault, WorkerCrash):
+        os._exit(fault.exit_code)
+    if isinstance(fault, WorkerStall):
+        time.sleep(fault.seconds)
 
 
 def cache_torn_write():

@@ -862,7 +862,7 @@ class _GatewaySoak(_Soak):
         self.gw = ThreadedGateway(
             self.svc, idle_timeout_s=0.35,
             drain_grace_s=0.0, drain_budget_s=10.0,
-            batch_window_s=0.05, batch_max=8,
+            batch_window_s=0.05,
         )
         self.addr = self.gw.address
         self.client = GatewayClient(

@@ -52,7 +52,10 @@ from ..errors import ReproError, classify
 from ..kernels import get_kernel
 from .flows import FlowResult, FlowRunner
 
-__all__ = ["Cell", "CellResult", "CellError", "backoff_delay", "run_cells"]
+__all__ = [
+    "Cell", "CellResult", "CellError", "backoff_delay", "kill_pool",
+    "run_cells",
+]
 
 
 def backoff_delay(
@@ -136,41 +139,9 @@ def _init_worker(runner_kwargs: dict, fault_plan=None) -> None:
         faults.uninstall()
 
 
-def _instance(name: str, size: int | None):
-    key = (name, size)
-    inst = _INSTANCES.get(key)
-    if inst is None:
-        inst = _INSTANCES[key] = get_kernel(name).instantiate(size)
-    return inst
-
-
-def _apply_worker_fault(cell: Cell) -> None:
-    """Consult the installed plan for a crash/stall matching this cell."""
-    fault = faults.worker_fault(cell.kernel, cell.flow)
-    if fault is None:
-        return
-    if isinstance(fault, faults.WorkerCrash):
-        import os
-
-        os._exit(fault.exit_code)  # simulated segfault: no cleanup, no reply
-    if isinstance(fault, faults.WorkerStall):
-        time.sleep(fault.seconds)
-
-
 def _run_cell(cell: Cell) -> CellResult:
-    _apply_worker_fault(cell)
-    start = time.perf_counter()
-    try:
-        inst = _instance(cell.kernel, cell.size)
-        result = _RUNNER.run(inst, cell.flow, cell.target)
-    except KeyboardInterrupt:
-        raise
-    except Exception as exc:
-        return CellResult(
-            cell, None, time.perf_counter() - start,
-            error=str(exc), error_kind=classify(exc),
-        )
-    return CellResult(cell, result, time.perf_counter() - start)
+    faults.apply_worker_fault(cell.kernel, cell.flow)
+    return _run_cell_serial(cell, _RUNNER, _INSTANCES)
 
 
 def _run_cell_serial(cell: Cell, runner: FlowRunner, instances: dict) -> CellResult:
@@ -196,6 +167,29 @@ def _run_cell_serial(cell: Cell, runner: FlowRunner, instances: dict) -> CellRes
 # -- the hardened scheduler ---------------------------------------------------
 
 
+def kill_pool(pool: ProcessPoolExecutor | None) -> None:
+    """Hard-kill a process pool: terminate its workers, discard the
+    executor, reap the processes.  Stuck or dead workers cannot be
+    joined politely, and an interrupted sweep must orphan no children."""
+    if pool is None:
+        return
+    procs = list(getattr(pool, "_processes", {}).values())
+    for p in procs:
+        try:
+            p.terminate()
+        except Exception:
+            pass
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
+    for p in procs:
+        try:
+            p.join(timeout=5.0)
+        except Exception:
+            pass
+
+
 class _Pool:
     """A rebuildable ProcessPoolExecutor with hard-kill teardown."""
 
@@ -215,28 +209,10 @@ class _Pool:
         return self.pool
 
     def kill(self) -> None:
-        """Terminate worker processes and discard the executor.  Used
-        after a crash/timeout (stuck or dead workers cannot be joined)
-        and on KeyboardInterrupt (no orphaned children)."""
-        pool = self.pool
-        self.pool = None
-        if pool is None:
-            return
-        procs = list(getattr(pool, "_processes", {}).values())
-        for p in procs:
-            try:
-                p.terminate()
-            except Exception:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        for p in procs:
-            try:
-                p.join(timeout=5.0)
-            except Exception:
-                pass
+        """:func:`kill_pool` after a crash/timeout or on
+        KeyboardInterrupt; the next :meth:`get` builds a fresh pool."""
+        pool, self.pool = self.pool, None
+        kill_pool(pool)
 
 
 def run_cells(

@@ -128,11 +128,6 @@ class ServiceRequest:
     size: int | None = None
     #: wall-clock budget in seconds (None = no deadline).
     deadline_s: float | None = None
-    #: number of client requests this request answers: >1 when the
-    #: gateway's pre-admission batcher merged a same-shape flight group
-    #: into one admitted request (the N-1 riders are recorded in
-    #: ``admission.batched``, not ``admission.admitted``).
-    batch_size: int = 1
 
 
 @dataclass
@@ -447,9 +442,6 @@ class KernelService:
             slot = self.admission.admit()
         except OverloadError as exc:
             return self._shed_response(request, exc)
-        if request.batch_size > 1:
-            # One slot answers the whole flight group; ledger the riders.
-            self.admission.note_batched(request.batch_size - 1)
         return slot
 
     def _shed_response(self, request, exc) -> ServiceResponse:
@@ -508,8 +500,6 @@ class KernelService:
                    attempts=resp.attempts)
             if resp.coalesced:
                 sp.set(coalesced=True)
-            if request.batch_size > 1:
-                sp.set(batch=True, batch_size=request.batch_size)
             with self._breakers_lock:
                 breaker = self._breakers.get(request.target)
             if breaker is not None:

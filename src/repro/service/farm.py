@@ -55,6 +55,7 @@ from multiprocessing import get_context
 
 from .. import faults, obs
 from ..errors import FaultInjected, ReproError, classify
+from ..harness.parallel import kill_pool
 from .cache import CacheKey, canonical_crc, pack_kernel
 
 __all__ = ["CompileJob", "CompileFarm", "FarmError"]
@@ -187,14 +188,7 @@ def _run_job(job: CompileJob):
         faults.install(job.plan)
     else:
         faults.uninstall()
-    fault = faults.worker_fault(job.kernel, job.flow)
-    if fault is not None:
-        if isinstance(fault, faults.WorkerCrash):
-            import os
-
-            os._exit(fault.exit_code)  # simulated segfault: no reply
-        if isinstance(fault, faults.WorkerStall):
-            time.sleep(fault.seconds)
+    faults.apply_worker_fault(job.kernel, job.flow)
     try:
         form, jit_cls = FLOWS[job.flow]
         runner = _w_runner(job.runner_kwargs)
@@ -311,25 +305,8 @@ class CompileFarm:
 
     def _kill(self) -> None:
         """Hard-kill the pool: stuck or dead workers cannot be joined."""
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        procs = list(getattr(pool, "_processes", {}).values())
-        for p in procs:
-            try:
-                p.terminate()
-            except Exception:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        for p in procs:
-            try:
-                p.join(timeout=5.0)
-            except Exception:
-                pass
+        pool, self._pool = self._pool, None
+        kill_pool(pool)
 
     def _rebuild(self) -> None:
         self._kill()

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import socket
 import threading
 import time
@@ -47,8 +48,10 @@ from dataclasses import replace
 
 from .. import faults, obs
 from ..errors import ReproError, classify
+from .admission import DeadlineError
 from .client import request_shape
 from .core import KernelService, ServiceRequest
+from .singleflight import SingleFlight
 from .wire import (
     HEADER_LEN,
     NetworkError,
@@ -60,7 +63,7 @@ from .wire import (
     response_payload,
 )
 
-__all__ = ["DrainError", "GatewayServer", "ThreadedGateway"]
+__all__ = ["BATCH_MAX", "DrainError", "GatewayServer", "ThreadedGateway"]
 
 #: latency buckets for the gateway request histogram — finer than the
 #: default set in the 1–100 ms range where warm requests live, so the
@@ -70,8 +73,12 @@ LATENCY_BUCKETS = (
     0.03, 0.05, 0.075, 0.1, 0.15, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
 
+#: waiters per batch group: the group that reaches it is served at
+#: once instead of waiting out the rest of the window.
+BATCH_MAX = 16
+
 #: flight-group size buckets for the ``gateway.batch.size`` histogram —
-#: small integers, since group size is bounded by ``batch_max``.
+#: small integers, since group size is bounded by :data:`BATCH_MAX`.
 BATCH_SIZE_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 
@@ -91,40 +98,6 @@ class DrainError(ReproError):
 class _ConnDropped(Exception):
     """Internal: an injected :class:`~repro.faults.ConnDrop` tore this
     connection mid-response; unwind the connection loop quietly."""
-
-
-class _BatchGroup:
-    """One pre-admission flight group: same-shape requests that arrived
-    within one batch window and will be answered by one admitted
-    service call.
-
-    The group's lifecycle is owned entirely by the event loop: the
-    *timer* (scheduled at creation) or the *batch_max* overflow flushes
-    it, never a particular waiter's connection — so a leader whose
-    socket dies mid-window cannot strand the followers or leak the
-    table entry.  ``future`` resolves exactly once with an
-    ``(outcome, payload)`` tuple that every waiter fans out from.
-    """
-
-    __slots__ = (
-        "key", "request", "future", "size", "expiries", "timer",
-        "flushed", "created",
-    )
-
-    def __init__(self, key: str, request: ServiceRequest, future,
-                 created: float) -> None:
-        self.key = key
-        #: the parsed leader request — same shape key means the same
-        #: (kernel, flow, target, size) fields, so one parse serves all.
-        self.request = request
-        self.future = future
-        self.size = 0
-        #: per-waiter absolute expiry on the loop clock (None = no
-        #: deadline) — each waiter re-checks its *own* budget at fan-out.
-        self.expiries: list = []
-        self.timer = None
-        self.flushed = False
-        self.created = created
 
 
 def _jsonable(obj):
@@ -161,7 +134,6 @@ class GatewayServer:
         drain_grace_s: float = 0.05,
         drain_budget_s: float = 10.0,
         batch_window_s: float = 0.0,
-        batch_max: int = 16,
         close_service: bool = False,
     ) -> None:
         self.service = service
@@ -174,7 +146,6 @@ class GatewayServer:
         #: (every compile dispatches individually, the pre-batcher
         #: behavior).
         self.batch_window_s = max(0.0, float(batch_window_s))
-        self.batch_max = max(1, int(batch_max))
         self.close_service = bool(close_service)
         self.state = "running"
         self._server: asyncio.AbstractServer | None = None
@@ -183,9 +154,11 @@ class GatewayServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._writers: set[asyncio.StreamWriter] = set()
-        #: shape key -> open flight group (event-loop-owned; entries
+        #: shape key -> open batch group, one flight per group (entries
         #: live for at most one batch window).
-        self._batches: dict[str, _BatchGroup] = {}
+        self._groups = SingleFlight()
+        #: set by drain: cuts every open batch window short.
+        self._draining = asyncio.Event()
         self._counts = {
             "connections": 0,
             "requests": 0,
@@ -244,11 +217,17 @@ class GatewayServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Open flight groups hold requests accepted *before* drain began
-        # (the drain state check gates joining): flush them now and wait
-        # for their fan-outs so every batched waiter gets its answer.
-        if self._batches:
-            await self._flush_pending_batches(self.drain_budget_s)
+        # Open batch groups hold requests accepted *before* drain began
+        # (the drain state check gates joining): cut their windows short
+        # and wait for their fan-outs so every batched waiter gets its
+        # answer.
+        groups = self._groups.flights()
+        self._draining.set()
+        if groups:
+            await asyncio.wait(
+                [asyncio.wrap_future(f.future) for _, f in groups],
+                timeout=self.drain_budget_s,
+            )
         # In-flight requests (already submitted to the service) finish
         # under the drain budget; anything still running past it is
         # abandoned — the response is lost but no torn frame is ever
@@ -302,7 +281,7 @@ class GatewayServer:
             "inflight": self._inflight,
             "open_connections": len(self._writers),
             "batch_window_s": self.batch_window_s,
-            "batch_pending": len(self._batches),
+            "batch_pending": self._groups.inflight(),
             **self._counts,
         }
 
@@ -491,7 +470,7 @@ class GatewayServer:
 
     async def _batched_compile(self, payload: dict, deadline_s,
                                started: float) -> dict:
-        """Join (or open) the flight group for this payload's shape and
+        """Join (or open) the batch group for this payload's shape and
         await its single fan-out.
 
         Invariants (chaos-enforced):
@@ -500,8 +479,8 @@ class GatewayServer:
         * every waiter receives either the group's byte-identical
           response payload or its *own* classified rejection — never a
           torn frame, never two answers;
-        * the group entry leaves ``_batches`` exactly once (timer or
-          ``batch_max`` overflow), whoever's connection dies.
+        * the group leaves the table exactly once (window end, drain or
+          :data:`BATCH_MAX`), whoever's connection dies.
         """
         if deadline_s is not None and deadline_s <= 0:
             # A waiter with no budget left must not ride the window: it
@@ -518,25 +497,21 @@ class GatewayServer:
                 payload, "rejected", "bad-request", "bad-request", str(exc)
             )
         loop = asyncio.get_running_loop()
-        now = loop.time()
-        expiry = None if deadline_s is None else now + float(deadline_s)
+        expiry = (math.inf if deadline_s is None
+                  else loop.time() + float(deadline_s))
         key = request_shape(payload)
-        group = self._batches.get(key)
-        if group is None:
-            group = _BatchGroup(key, request, loop.create_future(), now)
-            self._batches[key] = group
-            group.timer = loop.call_later(
-                self.batch_window_s, self._flush_batch, group
-            )
-        group.size += 1
-        group.expiries.append(expiry)
-        if group.size >= self.batch_max:
-            self._flush_batch(group)
-        # shield: a waiter whose task dies (connection torn down, loop
-        # shutdown race) must never cancel the shared group future out
-        # from under the other waiters.
-        kind, data = await asyncio.shield(group.future)
-        if expiry is not None and loop.time() >= expiry:
+        flight, leader = self._groups.begin(key, expiry)
+        if leader:
+            # The window belongs to the loop, not to this waiter's
+            # connection: a leader whose socket dies strands no one.
+            loop.create_task(self._close_after_window(key, flight, request))
+        if flight.waiters >= BATCH_MAX and self._groups.end(key, flight):
+            loop.create_task(self._serve_group(flight, request))
+        # shield: wrap_future passes a cancelled waiter's cancellation on
+        # to the shared future, which the other waiters still need.
+        with contextlib.suppress(Exception):
+            await asyncio.shield(asyncio.wrap_future(flight.future))
+        if loop.time() >= expiry:
             # This waiter's own budget ran out while the group was in
             # flight: a classified rejection, never a late orphan write.
             self._bump("batch.expired")
@@ -545,89 +520,64 @@ class GatewayServer:
                 f"deadline of {deadline_s:.3f}s expired while the "
                 f"request was batched",
             )
-        if kind == "expired":
-            self._bump("batch.expired")
+        try:
+            data = flight.outcome()
+        except Exception as exc:
             return self._reject_payload(
-                payload, "rejected", "DeadlineError", "batch-deadline",
-                "every waiter's deadline expired before the group ran",
-            )
-        if kind == "error":
-            return self._reject_payload(
-                payload, "rejected", data, "batch-internal",
-                "internal error while serving the flight group",
+                payload, "rejected", classify(exc), "batch-internal",
+                f"the batch group failed: {exc}",
             )
         return self._answered(data, started)
 
-    def _flush_batch(self, group: _BatchGroup) -> None:
-        """Close a group to new joiners and hand it to :meth:`_run_batch`.
+    async def _close_after_window(self, key: str, flight,
+                                  request: ServiceRequest) -> None:
+        """Close a group to new joiners when its window ends (or drain
+        begins) and serve it, unless :data:`BATCH_MAX` closed it first."""
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._draining.wait(),
+                                   self.batch_window_s)
+        if self._groups.end(key, flight):
+            await self._serve_group(flight, request)
 
-        Runs on the event loop (timer callback or ``batch_max``
-        overflow).  Identity-checked and idempotent: the timer and an
-        overflow may race, and a flush must never pop a *newer* group
-        that reused the key.
-        """
-        if group.flushed:
-            return
-        group.flushed = True
-        if group.timer is not None:
-            group.timer.cancel()
-        if self._batches.get(group.key) is group:
-            del self._batches[group.key]
-        asyncio.get_running_loop().create_task(self._run_batch(group))
-
-    async def _run_batch(self, group: _BatchGroup) -> None:
-        """Serve one flight group: one admission charge, one service
-        call, one result (possibly a shed) resolved into the shared
-        future."""
-        loop = asyncio.get_running_loop()
-        n = group.size
+    async def _serve_group(self, flight, request: ServiceRequest) -> None:
+        """Serve one closed group: one admission charge, one service
+        call, one settle of the shared flight (possibly a shed)."""
+        n = flight.waiters
         self._bump("batch.flushed")
         if n > 1:
             self._bump("batch.merged", n - 1)
         obs.observe("gateway.batch.size", n, bounds=BATCH_SIZE_BUCKETS)
+        deadline_s = None
+        if flight.expiry < math.inf:
+            # The group runs on the *longest* surviving budget: any
+            # waiter still inside its own deadline deserves an answer,
+            # and shorter-budget waiters are individually rejected at
+            # fan-out.
+            deadline_s = flight.expiry - asyncio.get_running_loop().time()
+            if deadline_s <= 0:
+                # Never admitted; every waiter's own expiry check
+                # answers it.
+                flight.reject(DeadlineError(
+                    "every waiter's deadline expired before the group ran"
+                ))
+                return
         try:
-            if any(e is None for e in group.expiries):
-                group_deadline = None
-            else:
-                # The group runs on the *longest* surviving budget: any
-                # waiter still inside its own deadline deserves an
-                # answer, and shorter-budget waiters are individually
-                # rejected at fan-out.
-                group_deadline = max(group.expiries) - loop.time()
-                if group_deadline <= 0:
-                    group.future.set_result(("expired", None))
-                    return
-            request = replace(
-                group.request, deadline_s=group_deadline, batch_size=n
+            resp = await self._serve_counted(
+                replace(request, deadline_s=deadline_s), batched=n
             )
-            resp = await self._serve_counted(request)
             data = dict(response_payload(resp))
             data["batched"] = n
-            group.future.set_result(("served", data))
-        except Exception as exc:  # pragma: no cover - defensive
-            # A group future must settle no matter what: a waiter that
-            # never hears back is worse than any classified rejection.
-            if not group.future.done():
-                group.future.set_result(("error", classify(exc)))
+            flight.resolve(data)
+        except Exception as exc:
+            # A group must settle no matter what: a waiter that never
+            # hears back is worse than any classified rejection.
+            flight.reject(exc)
 
-    async def _flush_pending_batches(self, timeout: float) -> None:
-        """Drain hook: flush every open group and wait for their
-        fan-outs, so requests batched before drain began still get
-        complete responses."""
-        groups = list(self._batches.values())
-        for group in groups:
-            self._flush_batch(group)
-        futures = [g.future for g in groups if not g.future.done()]
-        if futures:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*futures, return_exceptions=True),
-                    timeout=timeout,
-                )
-
-    async def _serve_counted(self, request: ServiceRequest):
+    async def _serve_counted(self, request: ServiceRequest,
+                             batched: int | None = None):
         """Submit one service call and await its future, counted in the
         inflight gauge (and the drain's idle event) until it returns.
+        ``batched`` is the size of the batch group the call answers.
 
         ``submit`` admits (or sheds) right here on the event loop; the
         ``service.gateway.request`` span is open in this task, and the
@@ -642,8 +592,8 @@ class GatewayServer:
                           target=request.target) as sp:
                 if request.deadline_s is not None:
                     sp.set(deadline_s=request.deadline_s)
-                if request.batch_size > 1:
-                    sp.set(batch=True, batch_size=request.batch_size)
+                if batched is not None:
+                    sp.set(batched=batched)
                 resp = await asyncio.wrap_future(
                     self.service.submit(request)
                 )

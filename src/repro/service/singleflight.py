@@ -1,4 +1,4 @@
-"""Single-flight compile coalescing and per-key scoped locks.
+"""Single-flight coalescing and per-key scoped locks.
 
 The paper's bargain is that the online stage is *cheap* — linear-time
 materialization per target — but "cheap" still isn't free, and under
@@ -9,8 +9,13 @@ concurrent load two classic serialization bugs eat the worker pool:
   fix is *single-flight* (à la Go's ``golang.org/x/sync/singleflight``):
   the first requester becomes the **leader** and compiles; every
   concurrent requester for the same key becomes a **follower** that
-  blocks on the leader's :class:`threading.Event` and shares its
-  :class:`~repro.jit.compilers.CompiledKernel`.
+  waits on the leader's :class:`Flight` and shares its
+  :class:`~repro.jit.compilers.CompiledKernel`.  A flight settles a
+  :class:`concurrent.futures.Future`, so service threads block in
+  :meth:`Flight.wait` while the gateway's asyncio tasks await the same
+  future.  The gateway's pre-admission batch window is a second
+  :class:`SingleFlight` table, keyed by request shape, whose flights
+  are served by a loop-owned window task rather than by a waiter.
 * **global critical section** — one service-wide lock around compilation
   means the pool adds zero compile throughput.  The fix is *scoped*
   locking: :class:`KeyedLocks` hands out one mutex per key so distinct
@@ -24,7 +29,9 @@ Both primitives are deliberately tiny, stdlib-only, and deterministic
 from __future__ import annotations
 
 import copy
+import math
 import threading
+from concurrent.futures import Future
 
 __all__ = ["Flight", "SingleFlight", "KeyedLocks"]
 
@@ -63,47 +70,57 @@ def _follower_copy(exc: BaseException) -> BaseException:
 
 
 class Flight:
-    """One in-flight computation: an event plus its eventual outcome.
+    """One in-flight computation: a future plus its window state.
 
-    The leader calls exactly one of :meth:`resolve` / :meth:`reject`;
-    followers :meth:`wait` and then read ``value`` / ``exc``.  A flight
-    settles exactly once (``settled`` guards double-completion in
-    defensive paths).
+    The leader calls exactly one of :meth:`resolve` / :meth:`reject`.
+    Threads block in :meth:`wait`; asyncio tasks await the same
+    :attr:`future` through :func:`asyncio.wrap_future`.  Both then read
+    :meth:`outcome`.  A flight settles exactly once (``settled`` guards
+    double-completion in defensive paths).
+
+    ``waiters`` (every :meth:`SingleFlight.begin` that returned this
+    flight) and ``expiry`` (the latest expiry they passed in) are kept
+    under the table's lock; the gateway's batch window reads them once
+    the flight has left the table.
     """
 
-    __slots__ = ("_event", "value", "exc", "settled")
+    __slots__ = ("future", "waiters", "expiry")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
-        self.value = None
-        self.exc: BaseException | None = None
-        self.settled = False
+        self.future: Future = Future()
+        self.waiters = 0
+        self.expiry = -math.inf  # no waiter yet
+
+    @property
+    def settled(self) -> bool:
+        return self.future.done()
 
     def resolve(self, value) -> None:
-        self.value = value
-        self.settled = True
-        self._event.set()
+        self.future.set_result(value)
 
     def reject(self, exc: BaseException) -> None:
-        self.exc = exc
-        self.settled = True
-        self._event.set()
+        self.future.set_exception(exc)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the flight settles; False on timeout."""
-        return self._event.wait(timeout)
+        try:
+            self.future.exception(timeout)
+        except TimeoutError:
+            return False
+        return True
 
     def outcome(self):
         """The settled value, re-raising the leader's exception.
 
-        Only call after :meth:`wait` returned True.  Each caller gets
-        its *own* copy of the leader's exception (chained to the
-        original via ``__cause__``): concurrent re-raises of one shared
-        object would race on its ``__traceback__``.
+        Only call once the flight has settled.  Each caller gets its
+        *own* copy of the leader's exception (chained to the original
+        via ``__cause__``): concurrent re-raises of one shared object
+        would race on its ``__traceback__``.
         """
-        if self.exc is not None:
-            raise _follower_copy(self.exc)
-        return self.value
+        exc = self.future.exception()
+        if exc is not None:
+            raise _follower_copy(exc)
+        return self.future.result()
 
 
 class SingleFlight:
@@ -120,10 +137,10 @@ class SingleFlight:
                 raise
             finally:
                 sf.end(key, flight)
-            value = flight.value
         else:
-            flight.wait()
-            value = flight.outcome()   # re-raises the leader's failure
+            flight.wait()              # or: await asyncio.wrap_future(
+                                       #         flight.future)
+        value = flight.outcome()       # re-raises the leader's failure
 
     The table only coalesces *concurrent* duplicates: ``end`` removes the
     key, so a later request for the same key starts a fresh flight (and,
@@ -142,31 +159,40 @@ class SingleFlight:
         self.followers = 0
         self.usurped = 0
 
-    def begin(self, key) -> tuple[Flight, bool]:
+    def begin(self, key, expiry: float = math.inf) -> tuple[Flight, bool]:
         """(flight, is_leader) for ``key``.
 
         The first caller for a key gets ``is_leader=True`` and *must*
         settle the flight and call :meth:`end`; concurrent callers get
-        the same flight with ``is_leader=False``.
+        the same flight with ``is_leader=False``.  Every call counts one
+        of the flight's ``waiters`` and raises its ``expiry`` to at
+        least ``expiry``.
         """
         with self._lock:
             flight = self._inflight.get(key)
-            if flight is None:
+            leader = flight is None
+            if leader:
                 flight = self._inflight[key] = Flight()
                 self.leaders += 1
-                return flight, True
-            self.followers += 1
-            return flight, False
+            else:
+                self.followers += 1
+            flight.waiters += 1
+            flight.expiry = max(flight.expiry, expiry)
+            return flight, leader
 
-    def end(self, key, flight: Flight) -> None:
+    def end(self, key, flight: Flight) -> bool:
         """Retire ``flight`` so later requests start fresh.
 
         Identity-checked: a stale ``end`` (defensive double-call) never
-        removes a newer flight for the same key.
+        removes a newer flight for the same key.  True when this call
+        removed ``flight``, so exactly one of several racing closers
+        sees True.
         """
         with self._lock:
             if self._inflight.get(key) is flight:
                 del self._inflight[key]
+                return True
+            return False
 
     def usurp(self, key, flight: Flight) -> bool:
         """Depose a wedged leader: retire ``flight`` *without* settling it.
@@ -187,6 +213,11 @@ class SingleFlight:
                 self.usurped += 1
                 return True
             return False
+
+    def flights(self) -> list:
+        """A snapshot of the open ``(key, flight)`` pairs."""
+        with self._lock:
+            return list(self._inflight.items())
 
     def inflight(self) -> int:
         """Number of keys currently being computed (for surfaces/tests)."""

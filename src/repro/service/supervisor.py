@@ -130,7 +130,6 @@ class FleetSupervisor:
         workers: int = 4,
         queue_limit: int = 64,
         batch_window_ms: float = 0.0,
-        batch_max: int = 16,
         marker_ttl_s: float | None = None,
         farm_budget_s: float | None = None,
         probe_interval_s: float = 0.2,
@@ -150,7 +149,6 @@ class FleetSupervisor:
         self.workers = int(workers)
         self.queue_limit = int(queue_limit)
         self.batch_window_ms = float(batch_window_ms)
-        self.batch_max = int(batch_max)
         self.marker_ttl_s = marker_ttl_s
         self.farm_budget_s = farm_budget_s
         self.probe_interval_s = float(probe_interval_s)
@@ -189,8 +187,7 @@ class FleetSupervisor:
             "--seed", str(self.seed + index),
         ]
         if self.batch_window_ms > 0:
-            cmd += ["--batch-window-ms", str(self.batch_window_ms),
-                    "--batch-max", str(self.batch_max)]
+            cmd += ["--batch-window-ms", str(self.batch_window_ms)]
         if self.marker_ttl_s is not None:
             cmd += ["--marker-ttl", str(self.marker_ttl_s)]
         if self.farm_budget_s is not None:

@@ -7,7 +7,7 @@ the merge invariants (the stampede proof), the deadline edges (a waiter
 whose budget dies mid-batch gets a classified rejection, never a late
 orphan write), the zero-leak lifecycle of the batch table when the
 group's leader connection dies mid-window, and the accounting trail
-(``admission.batched``, ``gateway.batch.*``).
+(``gateway.batch.*``: riders are counted once, at the gateway).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.service import (
 from repro.service import wire
 from repro.service.admission import Deadline
 from repro.service.client import request_shape, shard_index
+from repro.service.gateway import BATCH_MAX
 
 SIZE = 16
 FLOW = "split_vec_gcc4cli"
@@ -74,8 +75,7 @@ def stack(tmp_path):
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=4, queue_limit=32)
     gw = ThreadedGateway(svc, idle_timeout_s=5.0,
-                         drain_grace_s=0.0, batch_window_s=WINDOW,
-                         batch_max=16)
+                         drain_grace_s=0.0, batch_window_s=WINDOW)
     yield svc, gw
     gw.close()
     svc.close()
@@ -108,7 +108,6 @@ def test_stampede_one_admission_one_compile_identical_bytes(stack):
 
     adm = svc.admission.stats()
     assert adm["admitted"] == 1
-    assert adm["batched"] == n - 1
     compiles = ob.metrics_snapshot().get("jit.compiles", {})
     assert compiles.get("value") == 1
     st = gw.stats()
@@ -151,11 +150,10 @@ def test_batch_max_flushes_early(tmp_path):
     """A full group must not sit out the rest of a long window."""
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=4, queue_limit=32)
-    gw = ThreadedGateway(svc, drain_grace_s=0.0,
-                         batch_window_s=5.0, batch_max=2)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0, batch_window_s=5.0)
     try:
         frame = wire.encode_frame(_payload("sad_s8"))
-        socks = [_connect(gw.address) for _ in range(2)]
+        socks = [_connect(gw.address) for _ in range(BATCH_MAX)]
         try:
             start = time.perf_counter()
             for s in socks:
@@ -165,9 +163,9 @@ def test_batch_max_flushes_early(tmp_path):
         finally:
             for s in socks:
                 s.close()
-        assert [p["status"] for p in payloads] == ["ok", "ok"]
-        assert all(p["batched"] == 2 for p in payloads)
-        assert elapsed < 4.0, "group waited out the window despite batch_max"
+        assert [p["status"] for p in payloads] == ["ok"] * BATCH_MAX
+        assert all(p["batched"] == BATCH_MAX for p in payloads)
+        assert elapsed < 4.0, "group waited out the window despite BATCH_MAX"
     finally:
         gw.close()
         svc.close()
@@ -215,7 +213,7 @@ def test_waiter_deadline_expiry_mid_batch(stack):
     assert p_short["events"][0]["cause"] == "batch-deadline"
     # both rode one group: one admission, the rider ledgered
     assert svc.admission.stats()["admitted"] == 1
-    assert svc.admission.stats()["batched"] == 1
+    assert gw.stats()["batch.merged"] == 1
 
 
 def test_group_with_leader_shortest_deadline_still_serves_followers(stack):
@@ -356,8 +354,7 @@ def test_drain_serves_pending_batch(tmp_path):
     svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
                         workers=4, queue_limit=32)
     gw = ThreadedGateway(svc, drain_grace_s=0.0,
-                         drain_budget_s=15.0, batch_window_s=10.0,
-                         batch_max=16)
+                         drain_budget_s=15.0, batch_window_s=10.0)
     try:
         s = _connect(gw.address)
         try:

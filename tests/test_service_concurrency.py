@@ -21,6 +21,8 @@ suite is deterministic on slow CI runners.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import random
 import sys
 import threading
@@ -186,6 +188,73 @@ def test_flight_outcome_raises_a_per_follower_copy():
         assert e.__cause__ is original
     # The leader's traceback was never clobbered by a follower re-raise.
     assert original.__traceback__ is leader_tb
+
+
+async def _await_outcome(f: Flight):
+    """Await ``f`` the way the gateway's batch waiters do, then read it."""
+    with contextlib.suppress(Exception):
+        await asyncio.shield(asyncio.wrap_future(f.future))
+    return f.outcome()
+
+
+def test_flight_rejection_reaches_each_task_as_its_own_copy():
+    """N asyncio tasks awaiting one flight each get their own exception
+    copy after ``reject``, chained to the original."""
+    f = Flight()
+    original = ValueError("group failed")
+
+    async def main():
+        tasks = [asyncio.ensure_future(_await_outcome(f)) for _ in range(5)]
+        await asyncio.sleep(0)
+        f.reject(original)
+        return await asyncio.gather(*tasks, return_exceptions=True)
+
+    caught = asyncio.run(main())
+    assert all(type(e) is ValueError for e in caught)
+    assert len({id(e) for e in caught}) == 5
+    assert all(e is not original and e.__cause__ is original for e in caught)
+
+
+def test_flight_resolve_reaches_a_thread_and_a_task():
+    """A thread in ``Flight.wait`` and a task awaiting the same flight
+    both see the one ``resolve``."""
+    f = Flight()
+    seen = []
+    t = threading.Thread(
+        target=lambda: seen.append(f.wait(10) and f.outcome())
+    )
+    t.start()
+
+    async def main():
+        task = asyncio.ensure_future(_await_outcome(f))
+        await asyncio.sleep(0)
+        f.resolve("artifact")
+        return await task
+
+    assert asyncio.run(main()) == "artifact"
+    t.join(10)
+    assert seen == ["artifact"]
+
+
+def test_cancelling_one_awaiting_task_leaves_the_flight_pending():
+    """A waiter's cancellation never cancels the shared future: the
+    flight stays pending and the other waiters are still answered."""
+    f = Flight()
+
+    async def main():
+        doomed, kept = (asyncio.ensure_future(_await_outcome(f))
+                        for _ in range(2))
+        await asyncio.sleep(0)
+        doomed.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await doomed
+        assert doomed.cancelled()
+        assert not f.settled and not f.future.cancelled()
+        f.resolve(7)
+        return await kept
+
+    assert asyncio.run(main()) == 7
+    assert f.settled and f.outcome() == 7
 
 
 def test_keyed_locks_distinct_keys_do_not_block():
