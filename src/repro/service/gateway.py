@@ -82,6 +82,23 @@ BATCH_MAX = 16
 BATCH_SIZE_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 
+def _watch(flight) -> asyncio.Future:
+    """An asyncio view of ``flight`` that is safe to cancel or drop.
+
+    ``wrap_future`` passes a cancelled view's cancellation on to the
+    shared future, which other waiters still need, so the view is
+    shielded.  Both the wrapper and the view are marked read: each
+    waiter reads its own exception copy through :meth:`Flight.outcome`,
+    and an unread one would log "exception was never retrieved" (a
+    cancelled shield stops reading its wrapper).
+    """
+    wrapper = asyncio.wrap_future(flight.future)
+    view = asyncio.shield(wrapper)
+    for fut in (wrapper, view):
+        fut.add_done_callback(lambda f: f.cancelled() or f.exception())
+    return view
+
+
 class DrainError(ReproError):
     """The gateway is draining for shutdown: request rejected, retry on
     another replica.  A *classified* rejection — the drain analogue of
@@ -225,7 +242,7 @@ class GatewayServer:
         self._draining.set()
         if groups:
             await asyncio.wait(
-                [asyncio.wrap_future(f.future) for _, f in groups],
+                [_watch(f) for _, f in groups],
                 timeout=self.drain_budget_s,
             )
         # In-flight requests (already submitted to the service) finish
@@ -507,10 +524,8 @@ class GatewayServer:
             loop.create_task(self._close_after_window(key, flight, request))
         if flight.waiters >= BATCH_MAX and self._groups.end(key, flight):
             loop.create_task(self._serve_group(flight, request))
-        # shield: wrap_future passes a cancelled waiter's cancellation on
-        # to the shared future, which the other waiters still need.
         with contextlib.suppress(Exception):
-            await asyncio.shield(asyncio.wrap_future(flight.future))
+            await _watch(flight)
         if loop.time() >= expiry:
             # This waiter's own budget ran out while the group was in
             # flight: a classified rejection, never a late orphan write.
@@ -532,10 +547,15 @@ class GatewayServer:
     async def _close_after_window(self, key: str, flight,
                                   request: ServiceRequest) -> None:
         """Close a group to new joiners when its window ends (or drain
-        begins) and serve it, unless :data:`BATCH_MAX` closed it first."""
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(self._draining.wait(),
-                                   self.batch_window_s)
+        begins) and serve it, unless :data:`BATCH_MAX` closed it first.
+        A group :data:`BATCH_MAX` closed wakes this task when it settles,
+        so the task never outlives its group's service call."""
+        drained = asyncio.ensure_future(self._draining.wait())
+        settled = _watch(flight)
+        await asyncio.wait({drained, settled}, timeout=self.batch_window_s,
+                           return_when=asyncio.FIRST_COMPLETED)
+        drained.cancel()
+        settled.cancel()
         if self._groups.end(key, flight):
             await self._serve_group(flight, request)
 

@@ -32,6 +32,7 @@ import copy
 import math
 import threading
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 
 __all__ = ["Flight", "SingleFlight", "KeyedLocks"]
 
@@ -105,7 +106,7 @@ class Flight:
         """Block until the flight settles; False on timeout."""
         try:
             self.future.exception(timeout)
-        except TimeoutError:
+        except FutureTimeoutError:  # not the builtin before Python 3.11
             return False
         return True
 
@@ -138,8 +139,9 @@ class SingleFlight:
             finally:
                 sf.end(key, flight)
         else:
-            flight.wait()              # or: await asyncio.wrap_future(
-                                       #         flight.future)
+            flight.wait()              # or, from a task: await
+                                       # asyncio.shield(asyncio.wrap_future(
+                                       #     flight.future))
         value = flight.outcome()       # re-raises the leader's failure
 
     The table only coalesces *concurrent* duplicates: ``end`` removes the

@@ -12,6 +12,8 @@ group's leader connection dies mid-window, and the accounting trail
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import socket
 import threading
 import time
@@ -59,6 +61,13 @@ def _recv_frame(sock: socket.socket):
     body, crc = rest[:length], rest[length:]
     wire.check_frame(header, body, crc)
     return wire.decode_payload(body), body
+
+
+def _on_loop(gw: ThreadedGateway, fn):
+    """Run ``fn()`` on the gateway's event loop and return its result."""
+    async def call():
+        return fn()
+    return asyncio.run_coroutine_threadsafe(call(), gw._loop).result(10)
 
 
 def _connect(addr) -> socket.socket:
@@ -166,6 +175,37 @@ def test_batch_max_flushes_early(tmp_path):
         assert [p["status"] for p in payloads] == ["ok"] * BATCH_MAX
         assert all(p["batched"] == BATCH_MAX for p in payloads)
         assert elapsed < 4.0, "group waited out the window despite BATCH_MAX"
+    finally:
+        gw.close()
+        svc.close()
+
+
+def test_full_group_window_task_ends_with_its_group(tmp_path):
+    """The window task of a group closed at BATCH_MAX ends once the group
+    settles instead of sleeping out the rest of a long window."""
+    svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
+                        workers=4, queue_limit=32)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0, batch_window_s=30.0)
+
+    def window_tasks():
+        return sum(t.get_coro().__qualname__.endswith("_close_after_window")
+                   for t in asyncio.all_tasks())
+
+    try:
+        frame = wire.encode_frame(_payload("sad_s8"))
+        socks = [_connect(gw.address) for _ in range(BATCH_MAX)]
+        try:
+            for s in socks:
+                s.sendall(frame)
+            payloads = [_recv_frame(s)[0] for s in socks]
+        finally:
+            for s in socks:
+                s.close()
+        assert all(p["batched"] == BATCH_MAX for p in payloads)
+        deadline = time.perf_counter() + 5.0
+        while _on_loop(gw, window_tasks) and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        assert _on_loop(gw, window_tasks) == 0
     finally:
         gw.close()
         svc.close()
@@ -375,6 +415,41 @@ def test_drain_serves_pending_batch(tmp_path):
         assert payload["batched"] == 1
         assert elapsed < 9.0, "drain waited out the 10s window"
         assert gw.stats()["batch_pending"] == 0
+    finally:
+        gw.close()
+        svc.close()
+
+
+def test_drain_of_an_expired_group_leaves_no_unread_exception(tmp_path):
+    """A group rejected while drain waits on it (every waiter expired
+    inside the window) answers its waiter and leaves no asyncio future
+    holding an exception nobody read."""
+    svc = KernelService(cache_dir=str(tmp_path / "cache"), seed=0,
+                        workers=4, queue_limit=32)
+    gw = ThreadedGateway(svc, drain_grace_s=0.0,
+                         drain_budget_s=15.0, batch_window_s=10.0)
+    unread = []
+    _on_loop(gw, lambda: asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: unread.append(context)))
+    try:
+        s = _connect(gw.address)
+        try:
+            s.sendall(wire.encode_frame(_payload("sad_s8"), deadline_s=0.2))
+            deadline = time.perf_counter() + 5.0
+            while (gw.stats()["batch_pending"] == 0
+                   and time.perf_counter() < deadline):
+                time.sleep(0.005)
+            assert gw.stats()["batch_pending"] == 1
+            time.sleep(0.3)  # the waiter's budget runs out in the window
+            gw.drain()
+            payload, _ = _recv_frame(s)
+        finally:
+            s.close()
+        assert payload["status"] == "rejected"
+        assert payload["error"] == "DeadlineError"
+        assert svc.admission.stats()["admitted"] == 0
+        gc.collect()
+        assert _on_loop(gw, lambda: list(unread)) == []
     finally:
         gw.close()
         svc.close()
