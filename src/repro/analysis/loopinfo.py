@@ -49,14 +49,6 @@ class LoopInfo:
             node = node.parent
         return list(reversed(ivs))
 
-    def self_and_ancestors(self) -> list["LoopInfo"]:
-        out = []
-        node: LoopInfo | None = self
-        while node is not None:
-            out.append(node)
-            node = node.parent
-        return out
-
     def __repr__(self) -> str:
         return f"LoopInfo({self.loop.iv.name}, depth={self.depth})"
 

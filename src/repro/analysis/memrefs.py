@@ -36,12 +36,6 @@ class MemRef:
     is_store: bool
     order: int
 
-    def stride_in(self, iv: Value) -> int | None:
-        """Element stride with respect to ``iv``; None if non-affine."""
-        if self.affine is None:
-            return None
-        return self.affine.coeff(iv)
-
     def __repr__(self) -> str:
         kind = "store" if self.is_store else "load"
         return f"MemRef({kind} @{self.array.name}[{self.affine}])"

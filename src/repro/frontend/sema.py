@@ -91,11 +91,6 @@ def _is_flexible(expr: Expr) -> bool:
     return isinstance(expr, NumLit)
 
 
-def _rank(t: ScalarType) -> int:
-    order = ["bool", "i8", "i16", "i32", "i64", "f32", "f64"]
-    return order.index(t.name)
-
-
 def _unify(a: ScalarType, b: ScalarType) -> ScalarType:
     """C-style usual arithmetic conversion, restricted to our types."""
     if a == b:

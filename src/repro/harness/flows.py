@@ -163,6 +163,17 @@ class FlowRunner:
             )
         return self._native_cache[key]
 
+    def flow_ir(self, instance: KernelInstance, flow: str,
+                target: Target) -> Function:
+        """The IR ``flow``'s online compiler consumes: the scalar IR, the
+        split-form bytecode (decoded), or the target's native vector IR."""
+        form = FLOWS[flow][0]
+        if form == "scalar":
+            return self.scalar_ir(instance)
+        if form == "split":
+            return self.split_ir(instance)
+        return self.native_ir(instance, target)
+
     def bytecode_sizes(self, instance: KernelInstance) -> tuple[int, int]:
         """(scalar, vectorized) encoded byte sizes for this kernel."""
         key = (instance.name, instance.size)
@@ -191,24 +202,23 @@ class FlowRunner:
         with obs.span("frontend", phase="frontend",
                       kernel=instance.name) as sp:
             sp.set(cached=ir_key in self._scalar_cache)
-            scalar = self.scalar_ir(instance)
+            self.scalar_ir(instance)
         with obs.span("vectorize", phase="vectorize", form=form) as sp:
             if form == "scalar":
                 sp.set(skipped=True)
-                ir = scalar
             elif form == "split":
                 sp.set(cached=ir_key in self._vec_cache)
-                ir = self.vectorized_ir(instance)
+                self.vectorized_ir(instance)
             else:
                 sp.set(cached=(*ir_key, target.name) in self._native_cache,
                        mode="native", target=target.name)
-                ir = self.native_ir(instance, target)
+                self.native_ir(instance, target)
         with obs.span("encode", phase="encode") as sp:
             if form == "split" and self.use_bytecode_roundtrip:
                 sp.set(cached=ir_key in self._split_cache)
-                ir = self.split_ir(instance)
             else:
                 sp.set(skipped=True)
+            ir = self.flow_ir(instance, flow, target)
         key = (instance.name, instance.size, flow, target.name)
         with obs.span("jit", phase="jit", target=target.name,
                       compiler=jit_cls.name) as sp:

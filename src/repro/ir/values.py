@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .types import BOOL, F32, F64, I32, ScalarType, Type, VectorType
+from .types import BOOL, F32, F64, I32, ScalarType, Type
 
 __all__ = ["Value", "Const", "Argument", "ArrayRef", "BlockArg"]
 
@@ -30,10 +30,6 @@ class Value:
         self.type = type
         self.name = name
         self.id = next(_ids)
-
-    @property
-    def is_vector(self) -> bool:
-        return isinstance(self.type, VectorType)
 
     def short(self) -> str:
         return f"%{self.name or self.id}"
@@ -57,11 +53,6 @@ class Const(Value):
 
     def __repr__(self) -> str:
         return f"Const({self.value}: {self.type})"
-
-
-def const_for(value: float, type: ScalarType) -> Const:
-    """Convenience constructor used throughout the compiler."""
-    return Const(value, type)
 
 
 class Argument(Value):
@@ -114,26 +105,6 @@ class ArrayRef(Value):
     @property
     def rank(self) -> int:
         return len(self.shape)
-
-    @property
-    def row_elems(self) -> int:
-        """Number of elements in one row of the innermost dimensions.
-
-        For a rank-1 array this is 1 (the stride of the only subscript).
-        """
-        n = 1
-        for extent in self.shape[1:]:
-            n *= extent
-        return n
-
-    def static_elem_count(self) -> int | None:
-        """Total element count, or None if the outer extent is symbolic."""
-        if self.shape and not isinstance(self.shape[0], int):
-            return None
-        n = 1
-        for extent in self.shape:
-            n *= extent
-        return n
 
     def short(self) -> str:
         return f"@{self.name}"

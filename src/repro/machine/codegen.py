@@ -157,12 +157,10 @@ class _Emitter:
     values and traps are identical by construction.
     """
 
-    def __init__(self, mfunc: MFunction, target: Target, count_ops: bool,
-                 cells: list):
+    def __init__(self, mfunc: MFunction, target: Target, count_ops: bool):
         self.mfunc = mfunc
         self.target = target
         self.count_ops = count_ops
-        self.cells = cells                       # [ [buf] ] per array
         self.vs = target.vector_size
         self.names = _Ns()
         self._slot_of: dict[int, int] = {}
@@ -632,9 +630,10 @@ class _Emitter:
             w.w("if _mh is None:")
             w.depth += 1
             w.w("try:")
+            bufs = "".join(f"_b{i}, " for i in range(len(self.mfunc.arrays)))
             w.w(
                 _INDENT + f"_t = {pname}.attempt(({', '.join(in_regs)},), "
-                "_sp, _n, _maxi)"
+                f"({bufs}), _sp, _n, _maxi)"
             )
             w.w("except NameError:")
             w.w(_INDENT + "_t = None")
@@ -821,17 +820,17 @@ class _Emitter:
         # Only the IV may be read before it is written (loop-carried
         # registers or spill slots defeat batching).
         seen: set[int] = set()
-        seen_spills: set = set()
+        seen_slots: set = set()
         for pos, ins in enumerate(steps):
             for r in ins.srcs:
                 if r.id in writes and r.id not in seen and r.id != iv.id:
                     return None
             if ins.op == "spill_ld":
                 key = ins.imm["slot"]
-                if key in spill_sts and key not in seen_spills:
+                if key in spill_sts and key not in seen_slots:
                     return None
             elif ins.op == "spill_st":
-                seen_spills.add(ins.imm["slot"])
+                seen_slots.add(ins.imm["slot"])
             if ins.dst is not None:
                 seen.add(ins.dst.id)
 
@@ -857,7 +856,6 @@ class _Emitter:
             ivdt=ivdt,
             in_slots=[s for s, _ in pairs],
             in_ids=[rid for _, rid in pairs],
-            cells=self.cells,
             arr_index=self._arr_index,
             vs=self.vs,
             per_iter_count=hc + bc,
@@ -893,10 +891,12 @@ class _Bail(Exception):
 
 
 class _WalkState:
-    """Per-attempt scratch: the batch width ``k`` and a lazy iota."""
+    """Per-attempt scratch: the batch width ``k``, the run's array
+    buffers and a lazy iota."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, bufs: tuple):
         self.k = k
+        self.bufs = bufs
         self._idx = None
 
     def idx(self):
@@ -987,7 +987,7 @@ class _BatchPlan:
     """
 
     def __init__(self, *, body, iv_id, iv_slot, bound_id, step_src,
-                 cmp_kind, ivdt, in_slots, in_ids, cells, arr_index, vs,
+                 cmp_kind, ivdt, in_slots, in_ids, arr_index, vs,
                  per_iter_count, per_iter_cycles):
         self.body = body
         self.iv_id = iv_id
@@ -1001,7 +1001,6 @@ class _BatchPlan:
         self._pos = {rid: i for i, rid in enumerate(in_ids)}
         self.iv_pos = self._pos[iv_id]
         self.bound_pos = self._pos[bound_id]
-        self.cells = cells
         self.arr_index = arr_index
         self.vs = vs
         self.per_iter_count = per_iter_count
@@ -1014,18 +1013,19 @@ class _BatchPlan:
 
     # -- entry point ----------------------------------------------------
 
-    def attempt(self, vals, sp, executed, maxi):
+    def attempt(self, vals, bufs, sp, executed, maxi):
         """Try one batch; ``(new_iv, d_count, d_cycles, k)`` or None.
 
-        ``vals`` holds the live values of ``in_slots`` in order; ``sp``
-        is the spill dict.  Never raises: any bail (or unexpected walk
+        ``vals`` holds the live values of ``in_slots`` in order; ``bufs``
+        the run's array buffers, in ``mfunc.arrays`` order; ``sp`` the
+        run's spill dict.  Never raises: any bail (or unexpected walk
         error) returns None before memory was touched, and the caller
         falls through to normal execution.
         """
         if self.dead:
             return None
         try:
-            return self._attempt(vals, sp, executed, maxi)
+            return self._attempt(vals, bufs, sp, executed, maxi)
         except _Bail as bail:
             if bail.dead:
                 self.dead = True
@@ -1034,7 +1034,7 @@ class _BatchPlan:
             self.dead = True
             return None
 
-    def _attempt(self, vals, sp, executed, maxi):
+    def _attempt(self, vals, bufs, sp, executed, maxi):
         iv0 = vals[self.iv_pos]
         bound = vals[self.bound_pos]
         if not isinstance(iv0, (int, np.integer)):
@@ -1059,7 +1059,7 @@ class _BatchPlan:
                 and self._iv_lo <= hi <= self._iv_hi):
             raise _Bail()
 
-        loads, stores = self._walk(vals, sp, iv0, step, k)
+        loads, stores = self._walk(vals, bufs, sp, iv0, step, k)
         self._check_mem(loads, stores, k)
         self._commit(stores, k)
         self.batches += 1
@@ -1109,7 +1109,7 @@ class _BatchPlan:
 
     # -- abstract interpretation over the body --------------------------
 
-    def _walk(self, vals, sp, iv0, step, k):
+    def _walk(self, vals, bufs, sp, iv0, step, k):
         env = {}
         for rid, pos in self._pos.items():
             env[rid] = ("i", vals[pos])
@@ -1117,16 +1117,13 @@ class _BatchPlan:
         wsp: dict = {}
         loads: list = []
         stores: list = []
-        st = _WalkState(k)
+        st = _WalkState(k, bufs)
         for pos, ins in enumerate(self.body):
             self._walk_ins(ins, pos, env, wsp, sp, loads, stores, st)
         return loads, stores
 
-    def _buf(self, name):
-        buf = self.cells[self.arr_index[name]][0]
-        if buf is None:
-            raise _Bail()
-        return buf
+    def _buf(self, name, st):
+        return st.bufs[self.arr_index[name]]
 
     @staticmethod
     def _addr(node):
@@ -1348,7 +1345,7 @@ class _BatchPlan:
         if op == "load":
             dt = imm["type"].numpy_dtype
             width = dt.itemsize
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             base, coef = self._addr(env[ins.srcs[0].id])
             lo = buf._base + base
             raw = buf._raw
@@ -1369,7 +1366,7 @@ class _BatchPlan:
         if op in ("vload_a", "vload_u"):
             dt = imm["elem"].numpy_dtype
             nb_ = dt.itemsize * imm["lanes"]
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             base, coef = self._addr(env[ins.srcs[0].id])
             lo = buf._base + base
             raw = buf._raw
@@ -1398,7 +1395,7 @@ class _BatchPlan:
         if op == "store":
             dt = imm["type"].numpy_dtype
             width = dt.itemsize
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             base, coef = self._addr(env[ins.srcs[0].id])
             lo = buf._base + base
             raw = buf._raw
@@ -1413,7 +1410,7 @@ class _BatchPlan:
             return
 
         if op in ("vstore_a", "vstore_u"):
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             base, coef = self._addr(env[ins.srcs[0].id])
             lo = buf._base + base
             raw = buf._raw
@@ -1456,14 +1453,14 @@ class _BatchPlan:
             return
 
         if op == "arr_overlap":
-            b1 = self._buf(imm["a1"])
-            b2 = self._buf(imm["a2"])
+            b1 = self._buf(imm["a1"], st)
+            b2 = self._buf(imm["a2"], st)
             env[ins.dst.id] = (
                 "i", _I8_ONE if b1._raw is b2._raw else _I8_ZERO
             )
             return
         if op == "arr_aligned":
-            buf = self._buf(imm["array"])
+            buf = self._buf(imm["array"], st)
             env[ins.dst.id] = (
                 "i",
                 _I8_ONE if buf.address_of(0) % imm["align"] == 0
@@ -1622,10 +1619,14 @@ class CodegenCode:
     ``source`` holds the deterministic generated module text (the
     cross-process determinism test hashes it); :meth:`run` mirrors
     :meth:`ThreadedCode.run <repro.machine.threaded.ThreadedCode.run>`
-    argument-for-argument.  Like the threaded engine, an instance is
-    stateful (array cells), so concurrent ``run`` calls on one instance
-    must be serialized; the registry's ``codegen`` engine does that with
-    the per-translation ``run_lock`` (see :mod:`repro.machine.registry`).
+    argument-for-argument.  Like the threaded engine's, an instance
+    holds no per-run state: the generated ``_kernel`` takes the run's
+    buffers as arguments and a fresh spill dict per call, and hands the
+    buffers on to any batch plan it tries, so ``run`` is reentrant.
+    (A plan's ``batches`` counter, a statistic that concurrent runs may
+    undercount, and its ``dead`` flag outlive a run, but neither changes
+    any run's result: a batch is bit-identical to the iterations it
+    replaces.)
     """
 
     def __init__(self, mfunc: MFunction, target: Target,
@@ -1633,8 +1634,7 @@ class CodegenCode:
         self.mfunc = mfunc
         self.target = target
         self.count_ops = count_ops
-        self._cells: list = [[None] for _ in mfunc.arrays]
-        emitter = _Emitter(mfunc, target, count_ops, self._cells)
+        emitter = _Emitter(mfunc, target, count_ops)
         self.source, ns = emitter.build()
         self.plans = emitter.plans
         self._block_op_counts = emitter.block_op_counts
@@ -1655,13 +1655,12 @@ class CodegenCode:
         arrays = arrays or {}
         mfunc = self.mfunc
         bufs = []
-        for i, slot in enumerate(mfunc.arrays):
+        for slot in mfunc.arrays:
             buf = arrays.get(slot.name)
             if buf is None:
                 raise VMError(
                     f"array parameter {slot.name!r} not bound"
                 )
-            self._cells[i][0] = buf
             bufs.append(buf)
         vals = []
         for name, conv in self._param_convs:

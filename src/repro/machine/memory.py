@@ -73,10 +73,6 @@ class ArrayBuffer:
 
     # -- byte-addressed machine access --------------------------------------
 
-    def base_address(self) -> int:
-        """The simulated base address (only its value mod 32 matters)."""
-        return self._base
-
     def load_bytes(self, offset: int, nbytes: int) -> np.ndarray:
         start = self._base + offset
         raw = self._raw

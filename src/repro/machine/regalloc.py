@@ -73,7 +73,7 @@ def _crosses_boundary(span: tuple[int, int], boundaries: list[int]) -> bool:
     return k < len(boundaries) and boundaries[k] < hi
 
 
-def _inject_spills(mf: MFunction, victim_ids: set[int]) -> AllocStats:
+def _insert_spill_code(mf: MFunction, victim_ids: set[int]) -> AllocStats:
     """Insert spill_st after defs and spill_ld before uses of victims."""
     stats = AllocStats(spilled_values=len(victim_ids))
     slots: dict[int, int] = {}
@@ -148,7 +148,7 @@ def allocate_local(mf: MFunction, target: Target) -> AllocStats:
         span = (min(d), max(u))
         if _crosses_boundary(span, boundaries):
             victims.add(rid)
-    return _inject_spills(mf, victims)
+    return _insert_spill_code(mf, victims)
 
 
 def allocate_linear_scan(mf: MFunction, target: Target) -> AllocStats:
@@ -182,4 +182,4 @@ def allocate_linear_scan(mf: MFunction, target: Target) -> AllocStats:
                 victims.add(victim[2].id)
     if not victims:
         return AllocStats()
-    return _inject_spills(mf, victims)
+    return _insert_spill_code(mf, victims)

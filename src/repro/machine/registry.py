@@ -43,11 +43,12 @@ The engine contract
     per ``(engine, count_ops)`` and times it into the
     ``vm.translate_seconds`` metric.  The returned object must expose
     ``run(scalar_args, arrays, max_instructions=...) -> RunResult``.
-    A translation may keep per-run state on itself, as the built-in
-    ``threaded`` and ``codegen`` translations do; their ``run`` callables
-    then hold the translation's ``run_lock`` for the whole
-    ``code.run``, which serializes runs of one translated kernel and
-    nothing else.
+    A translation holds no per-run state: everything one run touches
+    (registers, bound arrays, spill slots, the return value) lives in
+    that run's own frame, so ``code.run`` is reentrant and one cached
+    translation serves any number of concurrent runs without a lock.
+    ``tests/test_threaded_vm.py`` runs one translation from several
+    threads at once and requires every result to equal a serial run.
 
 Names are looked up at call time, so registration order never matters;
 the built-in engines below register lazily (importing this module does
@@ -57,7 +58,6 @@ not import numpy-heavy engine modules until an engine is actually used).
 from __future__ import annotations
 
 import importlib
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -149,39 +149,29 @@ def engine_names() -> tuple[str, ...]:
 def _run_translated(engine: str):
     """The ``run`` callable of a built-in translating engine.
 
-    Translations keep per-run state on themselves (bound array cells,
-    spill slots, the return box), and one translation is shared by every
-    request that holds its ``CompiledKernel`` — single-flight followers
-    and the cache's decode memo hand the same kernel to many threads.  A
-    lock per translation therefore covers the whole ``code.run``: runs
-    of *one* translated kernel serialize, runs of distinct kernels do
-    not, and under the GIL the serialized runs cost no throughput.
+    One translation is shared by every request that holds its
+    ``CompiledKernel`` (single-flight followers and the cache's decode
+    memo hand the same kernel to many threads); translations are
+    reentrant, so those runs need no lock.
     """
 
     def run(ck, scalar_args, arrays, *, count_ops=False,
             max_instructions=None):
         code = ck.translated(engine, count_ops=count_ops)
-        with code.run_lock:
-            if max_instructions is None:
-                return code.run(scalar_args, arrays)
-            return code.run(scalar_args, arrays, max_instructions)
+        if max_instructions is None:
+            return code.run(scalar_args, arrays)
+        return code.run(scalar_args, arrays, max_instructions)
 
     return run
 
 
 def _translator(module: str):
-    """The ``translate`` callable of a built-in engine in ``module``.
-
-    The run lock is attached here, once, before the translation is
-    published on its ``CompiledKernel`` — so no thread ever sees a
-    translation without its lock.
-    """
+    """The ``translate`` callable of a built-in engine in ``module``
+    (imported on first use)."""
 
     def translate(mfunc, target, count_ops=False):
         mod = importlib.import_module(f".{module}", __package__)
-        code = mod.translate(mfunc, target, count_ops)
-        code.run_lock = threading.Lock()
-        return code
+        return mod.translate(mfunc, target, count_ops)
 
     return translate
 

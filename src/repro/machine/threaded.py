@@ -40,9 +40,10 @@ Cycle parity with the reference interpreter is guaranteed by construction:
 ``tests/test_threaded_vm.py`` differential-tests the two engines across
 the full kernel suite x all targets x all online compilers.
 
-A :class:`ThreadedCode` object is stateful (array cells, spill store) and
-therefore not thread-safe; the parallel experiment harness parallelizes
-across *processes*, which is safe.
+A :class:`ThreadedCode` object holds no per-run state: each run binds
+its arrays, its spill slots and its return value into reserved slots of
+its own register list, so any number of threads may run one translation
+at once.
 """
 
 from __future__ import annotations
@@ -72,7 +73,12 @@ from .vm import (
     VMError,
 )
 
-__all__ = ["ThreadedCode", "ThreadedVM", "translate"]
+__all__ = ["ThreadedCode", "translate"]
+
+#: reserved register slots: the run's spill dict and its return value.
+#: Virtual registers and bound arrays take the slots after these.
+_SPILLS = 0
+_RET = 1
 
 #: branch-predicate comparisons; ``a < b`` on numpy scalars dispatches to
 #: the same ufunc as ``np.less`` and is substantially cheaper to call.
@@ -111,10 +117,10 @@ class _Block:
 class ThreadedCode:
     """An :class:`MFunction` translated to threaded code for one target.
 
-    An instance is stateful (array cells, spill slots, the return box),
-    so concurrent ``run`` calls on one instance must be serialized; the
-    registry's ``threaded`` engine does that with the per-translation
-    ``run_lock`` (see :mod:`repro.machine.registry`).
+    The instance is immutable after translation.  Everything one run
+    touches — registers, bound arrays, spill slots, the return value —
+    lives in the run's own register list, so ``run`` is reentrant: one
+    translation may serve any number of concurrent runs.
     """
 
     def __init__(self, mfunc: MFunction, target: Target,
@@ -122,10 +128,9 @@ class ThreadedCode:
         self.mfunc = mfunc
         self.target = target
         self.count_ops = count_ops
+        self._nslots = _RET + 1
         self._slot_of: dict[int, int] = {}
-        self._cells: dict[str, list] = {}
-        self._spills: dict[int, object] = {}
-        self._retbox: list = [None]
+        self._array_slot_of: dict[str, int] = {}
         self._param_binds: list[tuple[int, object, str]] = []
         self._blocks: list[_Block] = []
         self._build()
@@ -136,17 +141,19 @@ class ThreadedCode:
 
     # -- translation --------------------------------------------------------
 
-    def _slot(self, reg) -> int:
-        s = self._slot_of.get(reg.id)
+    def _slot_in(self, table: dict, key) -> int:
+        s = table.get(key)
         if s is None:
-            s = self._slot_of[reg.id] = len(self._slot_of)
+            s = table[key] = self._nslots
+            self._nslots += 1
         return s
 
-    def _cell(self, name: str) -> list:
-        cell = self._cells.get(name)
-        if cell is None:
-            cell = self._cells[name] = [None]
-        return cell
+    def _slot(self, reg) -> int:
+        return self._slot_in(self._slot_of, reg.id)
+
+    def _array(self, name: str) -> int:
+        """The register slot a run binds array ``name`` into."""
+        return self._slot_in(self._array_slot_of, name)
 
     def _build(self) -> None:
         mfunc = self.mfunc
@@ -155,7 +162,7 @@ class ThreadedCode:
                 (self._slot(reg), type_.numpy_dtype.type, name)
             )
         for slot in mfunc.arrays:
-            self._cell(slot.name)
+            self._array(slot.name)
 
         instrs = mfunc.instrs
         n = len(instrs)
@@ -210,17 +217,16 @@ class ThreadedCode:
         if op == "br":
             return _const_next(block_at[labels[ins.imm["label"]]])
         if op == "ret":
-            retbox = self._retbox
             if ins.srcs:
                 s = self._slot(ins.srcs[0])
 
-                def nxt(regs, retbox=retbox, s=s):
-                    retbox[0] = regs[s]
+                def nxt(regs, s=s, r=_RET):
+                    regs[r] = regs[s]
                     return -1
             else:
 
-                def nxt(regs, retbox=retbox):
-                    retbox[0] = None
+                def nxt(regs, r=_RET):
+                    regs[r] = None
                     return -1
             return nxt
         tk = block_at[labels[ins.imm["label"]]]
@@ -369,57 +375,55 @@ class ThreadedCode:
 
         if op == "load":
             name = imm["array"]
-            cell = self._cell(name)
+            a = self._array(name)
             dt = imm["type"].numpy_dtype
 
-            def step(regs, d=d, s=ss[0], cell=cell, dt=dt, name=name):
+            def step(regs, d=d, s=ss[0], a=a, dt=dt, name=name):
                 if faults.mem_hook is not None:
                     faults.mem_hook("load", name)
-                regs[d] = cell[0].load_scalar(int(regs[s]), dt)
+                regs[d] = regs[a].load_scalar(int(regs[s]), dt)
             return step
 
         if op == "store":
             name = imm["array"]
-            cell = self._cell(name)
+            a = self._array(name)
             dt = imm["type"].numpy_dtype
 
-            def step(regs, s0=ss[0], s1=ss[1], cell=cell, dt=dt, name=name):
+            def step(regs, s0=ss[0], s1=ss[1], a=a, dt=dt, name=name):
                 if faults.mem_hook is not None:
                     faults.mem_hook("store", name)
-                cell[0].store_scalar(int(regs[s0]), regs[s1], dt)
+                regs[a].store_scalar(int(regs[s0]), regs[s1], dt)
             return step
 
         if op == "spill_st":
-            sp = self._spills
             k = imm["slot"]
 
-            def step(regs, s=ss[0], sp=sp, k=k):
-                sp[k] = regs[s]
+            def step(regs, s=ss[0], k=k, sp=_SPILLS):
+                regs[sp][k] = regs[s]
             return step
 
         if op == "spill_ld":
-            sp = self._spills
             k = imm["slot"]
 
-            def step(regs, d=d, sp=sp, k=k):
-                regs[d] = sp[k]
+            def step(regs, d=d, k=k, sp=_SPILLS):
+                regs[d] = regs[sp][k]
             return step
 
         if op == "arr_overlap":
-            c1 = self._cell(imm["a1"])
-            c2 = self._cell(imm["a2"])
+            a1 = self._array(imm["a1"])
+            a2 = self._array(imm["a2"])
 
-            def step(regs, d=d, c1=c1, c2=c2):
-                regs[d] = _I8_ONE if c1[0].overlaps(c2[0]) else _I8_ZERO
+            def step(regs, d=d, a1=a1, a2=a2):
+                regs[d] = _I8_ONE if regs[a1].overlaps(regs[a2]) else _I8_ZERO
             return step
 
         if op == "arr_aligned":
-            cell = self._cell(imm["array"])
+            a = self._array(imm["array"])
             align = imm["align"]
 
-            def step(regs, d=d, cell=cell, align=align):
+            def step(regs, d=d, a=a, align=align):
                 regs[d] = (
-                    _I8_ONE if cell[0].address_of(0) % align == 0
+                    _I8_ONE if regs[a].address_of(0) % align == 0
                     else _I8_ZERO
                 )
             return step
@@ -458,7 +462,7 @@ class ThreadedCode:
 
         if op in ("vload_a", "vload_u", "vload_fa"):
             name = imm["array"]
-            cell = self._cell(name)
+            a = self._array(name)
             dt = imm["elem"].numpy_dtype
             lanes = imm["lanes"]
             # These closures inline ArrayBuffer.load_vector (the engines'
@@ -468,11 +472,11 @@ class ThreadedCode:
             nb = dt.itemsize * lanes
             if op == "vload_a":
 
-                def step(regs, d=d, s=ss[0], cell=cell, dt=dt, nb=nb,
+                def step(regs, d=d, s=ss[0], a=a, dt=dt, nb=nb,
                          vs=vs, name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vload_a", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s])
                     start = buf._base + off
                     if start % vs != 0:
@@ -491,11 +495,11 @@ class ThreadedCode:
                     regs[d] = raw[start : start + nb].view(dt).copy()
             elif op == "vload_fa":
 
-                def step(regs, d=d, s=ss[0], cell=cell, dt=dt, nb=nb,
+                def step(regs, d=d, s=ss[0], a=a, dt=dt, nb=nb,
                          vs=vs, name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vload_fa", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s])
                     off -= (buf._base + off) % vs
                     start = buf._base + off
@@ -509,11 +513,11 @@ class ThreadedCode:
                     regs[d] = raw[start : start + nb].view(dt).copy()
             else:
 
-                def step(regs, d=d, s=ss[0], cell=cell, dt=dt, nb=nb,
+                def step(regs, d=d, s=ss[0], a=a, dt=dt, nb=nb,
                          name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vload_u", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s])
                     start = buf._base + off
                     raw = buf._raw
@@ -528,15 +532,15 @@ class ThreadedCode:
 
         if op in ("vstore_a", "vstore_u"):
             name = imm["array"]
-            cell = self._cell(name)
+            a = self._array(name)
             # Inlined ArrayBuffer.store_vector (same messages, same order).
             if op == "vstore_a":
 
-                def step(regs, s0=ss[0], s1=ss[1], cell=cell, vs=vs,
+                def step(regs, s0=ss[0], s1=ss[1], a=a, vs=vs,
                          name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vstore_a", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s0])
                     start = buf._base + off
                     if start % vs != 0:
@@ -557,10 +561,10 @@ class ThreadedCode:
                     dst[start : start + raw.size] = raw
             else:
 
-                def step(regs, s0=ss[0], s1=ss[1], cell=cell, name=name):
+                def step(regs, s0=ss[0], s1=ss[1], a=a, name=name):
                     if faults.mem_hook is not None:
                         faults.mem_hook("vstore_u", name)
-                    buf = cell[0]
+                    buf = regs[a]
                     off = int(regs[s0])
                     start = buf._base + off
                     values = regs[s1]
@@ -577,10 +581,10 @@ class ThreadedCode:
             return step
 
         if op == "lvsr":
-            cell = self._cell(imm["array"])
+            a = self._array(imm["array"])
 
-            def step(regs, d=d, s=ss[0], cell=cell, vs=vs):
-                regs[d] = np.int64(cell[0].address_of(int(regs[s])) % vs)
+            def step(regs, d=d, s=ss[0], a=a, vs=vs):
+                regs[d] = np.int64(regs[a].address_of(int(regs[s])) % vs)
             return step
 
         if op == "vperm":
@@ -766,16 +770,14 @@ class ThreadedCode:
         for slot in mfunc.arrays:
             if slot.name not in arrays:
                 raise VMError(f"array parameter {slot.name!r} not bound")
-        for name, cell in self._cells.items():
-            cell[0] = arrays.get(name)
-        regs: list = [None] * len(self._slot_of)
+        regs: list = [None] * self._nslots
+        regs[_SPILLS] = {}
+        for name, a in self._array_slot_of.items():
+            regs[a] = arrays.get(name)
         for slot_i, conv, name in self._param_binds:
             if name not in scalar_args:
                 raise VMError(f"scalar parameter {name!r} not bound")
             regs[slot_i] = conv(scalar_args[name])
-        self._spills.clear()
-        retbox = self._retbox
-        retbox[0] = None
 
         blocks = self._blocks
         # (count, cycles, steps, next) tuples: tuple unpacking in the hot
@@ -817,7 +819,7 @@ class ThreadedCode:
                         f(regs)
                     bi = nextf(regs)
         return RunResult(
-            retbox[0], cycles, executed, counts if counts is not None else {}
+            regs[_RET], cycles, executed, counts if counts is not None else {}
         )
 
     def _replay_overrun(self, block: _Block, regs: list, executed: int,
@@ -843,34 +845,3 @@ def translate(mfunc: MFunction, target: Target,
     """Translate ``mfunc`` into threaded code for ``target``."""
     return ThreadedCode(mfunc, target, count_ops)
 
-
-class ThreadedVM:
-    """Drop-in replacement for :class:`~repro.machine.vm.VM` backed by the
-    threaded-code engine, with a per-instance translation cache keyed by
-    ``(id(mfunc), target, count_ops)``."""
-
-    def __init__(self, target: Target, max_instructions: int = 500_000_000):
-        self.target = target
-        self.max_instructions = max_instructions
-        self._cache: dict[tuple, ThreadedCode] = {}
-
-    def translation(self, mfunc: MFunction,
-                    count_ops: bool = False) -> ThreadedCode:
-        key = (id(mfunc), self.target.name, count_ops)
-        hit = self._cache.get(key)
-        if hit is not None and hit.mfunc is mfunc:
-            return hit
-        code = ThreadedCode(mfunc, self.target, count_ops)
-        self._cache[key] = code
-        return code
-
-    def run(
-        self,
-        mfunc: MFunction,
-        scalar_args: dict[str, object] | None = None,
-        arrays: dict[str, ArrayBuffer] | None = None,
-        count_ops: bool = False,
-    ) -> RunResult:
-        return self.translation(mfunc, count_ops).run(
-            scalar_args, arrays, self.max_instructions
-        )

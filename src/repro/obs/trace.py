@@ -32,7 +32,6 @@ import io
 import json
 import threading
 import time
-from contextlib import contextmanager
 
 __all__ = [
     "PHASES",
@@ -270,12 +269,3 @@ def install_tracer(rec: TraceRecorder | None) -> TraceRecorder | None:
 def uninstall_tracer() -> None:
     """Disable tracing (``span()`` reverts to the shared no-op)."""
     install_tracer(None)
-
-
-@contextmanager
-def _tracing(rec: TraceRecorder):
-    prev = install_tracer(rec)
-    try:
-        yield rec
-    finally:
-        install_tracer(prev)

@@ -63,6 +63,7 @@ __all__ = [
     "KernelCache",
     "atomic_write",
     "canonical_crc",
+    "ir_crc",
     "pack_kernel",
     "reap_leader_markers",
     "unpack_kernel",
@@ -98,6 +99,15 @@ def canonical_crc(data: bytes) -> int:
         return out
 
     return zlib.crc32(_GENSYM.sub(rename, data)) & 0xFFFFFFFF
+
+
+def ir_crc(fn) -> int:
+    """The cache identity of IR function ``fn``: :func:`canonical_crc`
+    of its printed form."""
+    from ..ir import print_function
+
+    return canonical_crc(print_function(fn).encode())
+
 
 #: entry container magic (VBK = Vapor Bytecode Kernel, format 1).
 ENTRY_MAGIC = b"VBK1"

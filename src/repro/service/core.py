@@ -62,7 +62,7 @@ from ..kernels import get_kernel
 from ..targets import get_target
 from .admission import AdmissionQueue, Deadline, DeadlineError, OverloadError
 from .breaker import CircuitBreaker, CircuitOpenError
-from .cache import CacheKey, KernelCache, canonical_crc, unpack_kernel
+from .cache import CacheKey, KernelCache, ir_crc, unpack_kernel
 from .farm import CompileFarm, CompileJob, FarmError
 from .singleflight import KeyedLocks, SingleFlight
 
@@ -226,7 +226,6 @@ class KernelService:
         workers: int = 4,
         farm_workers: int = 0,
         farm_budget_s: float | None = 30.0,
-        replica_coalesce: bool = True,
         marker_ttl_s: float = 10.0,
         retries: int = 2,
         backoff_base: float = 0.005,
@@ -276,7 +275,6 @@ class KernelService:
         #: a follower's patience on an unsettled flight, and the wait on
         #: a foreign replica's leader marker.  None disables watchdogs.
         self.farm_budget_s = farm_budget_s
-        self.replica_coalesce = bool(replica_coalesce)
         self.marker_ttl_s = float(marker_ttl_s)
         self._runner_config = self.runner.config()
         # The farm forks eagerly, BEFORE any service thread exists (the
@@ -656,9 +654,7 @@ class KernelService:
         (CacheKey, ir, jit_cls) triple is memoized — the warm path never
         re-prints IR just to recompute cache identity.
         """
-        from ..ir import print_function
-
-        form, jit_cls = FLOWS[flow]
+        jit_cls = FLOWS[flow][1]
         shape = (inst.name, inst.size, flow, target.name, bool(force_scalar))
         hit = self._keys.get(shape)
         if hit is not None:
@@ -667,14 +663,8 @@ class KernelService:
             hit = self._keys.get(shape)
             if hit is not None:
                 return hit
-            if form == "scalar":
-                ir = self.runner.scalar_ir(inst)
-            elif form == "split":
-                ir = self.runner.split_ir(inst)
-            else:
-                ir = self.runner.native_ir(inst, target)
-            canon = print_function(ir).encode()
-            crc = canonical_crc(canon)
+            ir = self.runner.flow_ir(inst, flow, target)
+            crc = ir_crc(ir)
             compiler = jit_cls.name + ("+scalarized" if force_scalar else "")
             triple = (CacheKey(crc, target.name, compiler), ir, jit_cls)
             self._keys[shape] = triple
@@ -786,13 +776,10 @@ class KernelService:
                     flight.resolve(ck)
                     sp.set(cached=True)
                     return ck, True, False
-                if self.replica_coalesce:
-                    claimed = self._claim_replica_lead(
-                        key, flight, deadline, sp
-                    )
-                    if not isinstance(claimed, str):
-                        return claimed  # served from a replica's compile
-                    token = claimed
+                claimed = self._claim_replica_lead(key, flight, deadline, sp)
+                if not isinstance(claimed, str):
+                    return claimed  # served from a replica's compile
+                token = claimed
             # Compile outside any global lock: distinct keys compile
             # genuinely in parallel (farm workers: on distinct cores).
             obs.count("service.singleflight.leader")

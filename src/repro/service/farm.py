@@ -56,7 +56,7 @@ from multiprocessing import get_context
 from .. import faults, obs
 from ..errors import FaultInjected, ReproError, classify
 from ..harness.parallel import kill_pool
-from .cache import CacheKey, canonical_crc, pack_kernel
+from .cache import CacheKey, ir_crc, pack_kernel
 
 __all__ = ["CompileJob", "CompileFarm", "FarmError"]
 
@@ -181,7 +181,6 @@ def _run_job(job: CompileJob):
     reconstructs an exception that classifies identically.
     """
     from ..harness.flows import FLOWS
-    from ..ir import print_function
     from ..targets import get_target
 
     if job.plan is not None:
@@ -190,17 +189,12 @@ def _run_job(job: CompileJob):
         faults.uninstall()
     faults.apply_worker_fault(job.kernel, job.flow)
     try:
-        form, jit_cls = FLOWS[job.flow]
+        jit_cls = FLOWS[job.flow][1]
         runner = _w_runner(job.runner_kwargs)
         inst = _w_instance(job.kernel, job.size)
         target = get_target(job.target)
-        if form == "scalar":
-            ir = runner.scalar_ir(inst)
-        elif form == "split":
-            ir = runner.split_ir(inst)
-        else:
-            ir = runner.native_ir(inst, target)
-        crc = canonical_crc(print_function(ir).encode())
+        ir = runner.flow_ir(inst, job.flow, target)
+        crc = ir_crc(ir)
         if crc != job.key.bytecode_crc:
             raise FarmError(
                 "key-mismatch",

@@ -55,7 +55,6 @@ __all__ = [
     "decode_payload",
     "encode_frame",
     "decode_frame",
-    "frame_size",
     "response_payload",
 ]
 
@@ -183,11 +182,6 @@ def check_frame(header: bytes, body: bytes, crc_bytes: bytes) -> None:
             "bad-crc", f"frame CRC 0x{crc:08x} != computed 0x{actual:08x} "
             f"(torn or corrupted frame)"
         )
-
-
-def frame_size(payload: dict) -> int:
-    """Size in bytes of the encoded frame for ``payload``."""
-    return HEADER_LEN + len(encode_payload(payload)) + _CRC.size
 
 
 def decode_frame(data: bytes) -> tuple[dict, float | None]:

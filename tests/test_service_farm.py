@@ -235,8 +235,11 @@ def test_replica_waits_for_fresh_marker_and_reads_entry(tmp_path):
         t.start()
         time.sleep(0.2)  # B is polling the fresh marker
         assert "resp" not in done
-        # A finishes its compile and publishes the entry.
-        a.replica_coalesce = False
+        # A's leader finishes its compile and publishes the entry.
+        target = get_target("sse")
+        inst = get_kernel("saxpy_fp").instantiate(SIZE)
+        _key, ir, jit_cls = a._cache_key_ir(inst, FLOW, target)
+        a.cache.put(key, jit_cls().compile(ir, target))
         lead = a.handle(_req())
         assert lead.ok
         t.join(timeout=20.0)

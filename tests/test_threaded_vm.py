@@ -13,6 +13,7 @@ the whole gate just by registering itself.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.harness.flows import FlowRunner
 from repro.kernels import all_kernels, get_kernel
 from repro.machine import VM, VMError
 from repro.machine.registry import engine_names, get_engine
-from repro.machine.threaded import ThreadedVM, translate
+from repro.machine.threaded import translate
 from repro.targets import TARGETS, get_target
 
 #: The three online compilers of Figure 4, as flow names: the Mono-like JIT
@@ -35,6 +36,11 @@ ALL_TARGETS = tuple(TARGETS)
 
 #: every registered engine except the oracle it is compared against.
 CANDIDATE_ENGINES = tuple(n for n in engine_names() if n != "reference")
+
+#: the engines with a translate step, whose translation is shared.
+TRANSLATING_ENGINES = tuple(
+    n for n in engine_names() if get_engine(n).translate is not None
+)
 
 
 def _engine_run(ck, engine, scalar_args, bufs, **kw):
@@ -233,7 +239,7 @@ def test_trap_parity_instruction_budget(engine, diff_runner):
     inst = get_kernel("saxpy_fp").instantiate(32)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    full = ck.threaded().run(
+    full = ck.translated("threaded").run(
         inst.scalar_args, diff_runner.make_buffers(inst)
     )
     n = full.instructions
@@ -364,28 +370,101 @@ def test_shared_kernel_concurrent_runs_match_serial(kernel, engine,
         )
 
 
+@pytest.mark.parametrize("engine", TRANSLATING_ENGINES)
+@pytest.mark.parametrize("flow", ["split_vec_mono", "split_vec_gcc4cli"])
+@pytest.mark.parametrize("kernel", ["saxpy_fp", "sad_s8"])
+def test_translation_run_is_reentrant(kernel, flow, engine, diff_runner):
+    """One translation, run directly from 8 threads at once — no
+    registry, no lock — gives every thread exactly its serial result:
+    value, cycles, instructions, op counts and arrays, and, for the one
+    run given half the instructions it needs, the same budget trap.
+
+    The Mono-like JIT spills every block-crossing value, so under
+    ``split_vec_mono`` the runs also use the same spill slot numbers.  A
+    tiny switch interval makes the threads interleave inside ``run``."""
+    k = get_kernel(kernel)
+    target = get_target("sse")
+    ck = diff_runner.compiled(k.instantiate(256), flow, target)
+    code = get_engine(engine).translate(ck.mfunc, target, count_ops=True)
+    insts = [k.instantiate(256, seed=seed) for seed in range(8)]
+    trapper = 3
+    full = code.run(insts[trapper].scalar_args,
+                    diff_runner.make_buffers(insts[trapper]))
+    budget = full.instructions // 2
+
+    def run(i):
+        bufs = diff_runner.make_buffers(insts[i])
+        kw = {"max_instructions": budget} if i == trapper else {}
+        try:
+            res = code.run(insts[i].scalar_args, bufs, **kw)
+        except VMError as exc:
+            return str(exc)
+        return res, _elements(bufs)
+
+    serial = [run(i) for i in range(len(insts))]
+    assert "budget exceeded" in serial[trapper]
+
+    barrier = threading.Barrier(len(insts))
+    results: list = [None] * len(insts)
+    errors: list = []
+
+    def worker(i):
+        try:
+            barrier.wait(timeout=10)
+            results[i] = run(i)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(len(insts))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert results[trapper] == serial[trapper]
+    for i, got in enumerate(results):
+        if i == trapper:
+            continue
+        (ref, ref_arrays), (res, arrays) = serial[i], got
+        _assert_identical(
+            ref, res, ref_arrays, arrays,
+            f"{kernel}/{flow}/{engine}/seed {i}",
+        )
+
+
 # -- translation caching ------------------------------------------------------
 
 
-def test_threaded_vm_translation_cache(diff_runner):
+def test_translated_cache(diff_runner):
     inst = get_kernel("saxpy_fp").instantiate(32)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    tvm = ThreadedVM(target)
-    first = tvm.translation(ck.mfunc)
-    assert tvm.translation(ck.mfunc) is first
-    # count_ops variants translate (and cache) separately
-    counting = tvm.translation(ck.mfunc, count_ops=True)
-    assert counting is not first
-    assert tvm.translation(ck.mfunc, count_ops=True) is counting
+    for engine in TRANSLATING_ENGINES:
+        first = ck.translated(engine)
+        assert first.mfunc is ck.mfunc
+        assert ck.translated(engine) is first
+        # count_ops variants translate (and cache) separately
+        counting = ck.translated(engine, count_ops=True)
+        assert counting is not first
+        assert ck.translated(engine, count_ops=True) is counting
 
 
 def test_compiled_kernel_threaded_cache(diff_runner):
     inst = get_kernel("dscal_fp").instantiate(32)
     target = get_target("neon")
     ck = diff_runner.compiled(inst, "split_vec_mono", target)
-    assert ck.threaded() is ck.threaded()
-    assert ck.threaded(count_ops=True) is not ck.threaded()
+    assert ck.translated("threaded") is ck.translated("threaded")
+    assert (ck.translated("threaded", count_ops=True)
+            is not ck.translated("threaded"))
 
 
 def test_translate_is_reusable(diff_runner):
@@ -444,7 +523,7 @@ def test_injected_memory_fault_is_marked(diff_runner):
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
     with faults.injected(faults.FaultPlan([faults.MemFault(after=2)])):
         with pytest.raises(VMError) as exc_info:
-            ck.threaded().run(
+            ck.translated("threaded").run(
                 inst.scalar_args, diff_runner.make_buffers(inst)
             )
     assert isinstance(exc_info.value, FaultInjected)
@@ -471,7 +550,7 @@ def test_trap_parity_injected_fault_with_misalignment(diff_runner):
             )
         with faults.injected(plan):
             thr_trap = _trap_of(
-                lambda: ck.threaded().run(
+                lambda: ck.translated("threaded").run(
                     inst.scalar_args, misaligned.make_buffers(inst)
                 )
             )
@@ -490,9 +569,11 @@ def test_mem_hook_dormant_without_plan(diff_runner):
     inst = get_kernel("saxpy_fp").instantiate(32)
     target = get_target("sse")
     ck = diff_runner.compiled(inst, "split_vec_gcc4cli", target)
-    a = ck.threaded().run(inst.scalar_args, diff_runner.make_buffers(inst))
+    a = ck.translated("threaded").run(
+        inst.scalar_args, diff_runner.make_buffers(inst)
+    )
     with faults.injected(faults.FaultPlan([faults.MemFault(after=10**9)])):
-        b = ck.threaded().run(
+        b = ck.translated("threaded").run(
             inst.scalar_args, diff_runner.make_buffers(inst)
         )
     assert a.cycles == b.cycles
